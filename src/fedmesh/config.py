@@ -45,18 +45,20 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .data import SCHEME_DIRICHLET, SCHEME_IID, DomainRecipe, builtin_recipe
 from .federation import (
     POLICY_CUSTOM,
-    POLICY_SIZE,
+    POLICY_KINDS,
     POLICY_UNIFORM,
     AggregationPolicy,
     TrainingSchedule,
 )
-from .model import ModelSpec, param_dim
+from .model import FAMILY_SOFTMAX_LINEAR, ModelSpec, param_dim
 from .privacy import PrivacyBudget
 
 MAX_SEED = 2**64 - 1
@@ -117,6 +119,9 @@ class CsvDomainSource:
     label_column: str
     eval_fraction: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
+
 
 @dataclass(frozen=True)
 class DomainConfig:
@@ -173,32 +178,148 @@ class ExperimentConfig:
         return self.budget_overrides.get(client_id, self.default_budget)
 
 
-def _parse_budget(node: _Node, defaults: PrivacyBudget | None = None) -> PrivacyBudget:
-    base = defaults or PrivacyBudget(enabled=False)
-    node.reject_unknown({"enabled", "epsilon", "delta", "clip_norm"})
-    try:
-        return PrivacyBudget(
-            epsilon=node.get("epsilon", float, base.epsilon),
-            delta=node.get("delta", float, base.delta),
-            clip_norm=node.get("clip_norm", float, base.clip_norm),
-            enabled=node.get("enabled", bool, base.enabled),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{node.path}: {exc}") from None
+class _Field(NamedTuple):
+    """One key of a config section: accepted types, default, and value check."""
+
+    name: str
+    types: type | tuple[type, ...]
+    default: Any = _REQUIRED
+    valid: Callable[[Any], bool] | None = None
+    problem: str = ""  # the error when ``valid`` fails; ``{!r}`` shows the value
 
 
-def _parse_recipe(node: _Node, tag: str) -> DomainRecipe:
-    node.reject_unknown({"class_means", "class_covariance_scale", "mean_shift", "label_prior"})
+_SEED_RANGE = (lambda v: 0 <= v <= MAX_SEED, "must lie in [0, 2^64)")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+# One table per section drives unknown-key rejection, typed reads with
+# defaults, the typed object built from the values, and the canonical form.
+_ROOT = (
+    _Field("seed", int, _REQUIRED, *_SEED_RANGE),
+    _Field("model", dict),
+    _Field("domains", list),
+    _Field("partition", dict, {}),
+    _Field("schedule", dict),
+    _Field("policy", dict, {}),
+    _Field("privacy", dict, {}),
+    _Field("secure_aggregation", bool, False),
+    _Field("fixed_point_scale_bits", int, 24, lambda v: 1 <= v <= 52, "must lie in [1, 52]"),
+    _Field("tracked_indices", list, []),
+    _Field("transport", dict, {}),
+    _Field("output_dir", str, "fedmesh-output"),
+)
+_MODEL = (
+    _Field("family", str, FAMILY_SOFTMAX_LINEAR),
+    _Field("feature_dim", int),
+    _Field("class_count", int),
+    _Field("l2_coefficient", float, 0.0),
+)
+_DOMAIN = (
+    _Field("tag", str, None),
+    _Field("recipe", (str, dict), None),
+    _Field("csv", dict, None),
+    _Field("train_samples", int, None, *_AT_LEAST_ONE),
+    _Field("eval_samples", int, None, *_AT_LEAST_ONE),
+    _Field("clients", int, 1, *_AT_LEAST_ONE),
+)
+_RECIPE = (
+    _Field("class_means", list),
+    _Field("class_covariance_scale", float),
+    _Field("mean_shift", list),
+    _Field("label_prior", list),
+)
+_CSV = (
+    _Field("path", str),
+    _Field(
+        "feature_columns",
+        list,
+        _REQUIRED,
+        lambda v: bool(v) and all(isinstance(c, str) for c in v),
+        "expected a list of strings",
+    ),
+    _Field("label_column", str),
+    _Field("eval_fraction", float, 0.25, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+)
+_PARTITION = (
+    _Field("scheme", str, SCHEME_IID, lambda v: v in (SCHEME_IID, SCHEME_DIRICHLET), "unknown scheme {!r}"),
+    _Field("dirichlet_alpha", float, 1.0, *_POSITIVE),
+    _Field("min_samples_per_client", int, 1, *_AT_LEAST_ONE),
+    _Field("seed", int, 0, *_SEED_RANGE),
+)
+_SCHEDULE = (
+    _Field("rounds", int),
+    _Field("local_epochs", int, 5),
+    _Field("batch_size", int, None),
+    _Field("learning_rate", float, 0.1),
+    _Field("lr_decay", float, 0.99),
+    _Field("participation_fraction", float, 1.0),
+)
+_POLICY = (
+    _Field("kind", str, POLICY_UNIFORM, lambda v: v in POLICY_KINDS, "unknown kind {!r}"),
+    _Field("weights", dict, None),
+    _Field("privacy_derived", bool, False),
+    _Field("epsilon_cap", float, 8.0, *_POSITIVE),
+)
+_BUDGET = (
+    _Field("enabled", bool, False),
+    _Field("epsilon", float, 1.0),
+    _Field("delta", float, 1e-5),
+    _Field("clip_norm", float, 1.0),
+)
+_PRIVACY = _BUDGET + (_Field("client_overrides", dict, {}),)
+_TRANSPORT = (
+    _Field("host", str, "127.0.0.1"),
+    _Field("port", int, 7700, lambda v: 0 <= v < 65536, "must lie in [0, 65536)"),
+    _Field("timeout_seconds", float, 30.0, *_POSITIVE),
+)
+
+
+def _read(node: _Node, fields: tuple[_Field, ...], defaults: dict | None = None) -> dict:
+    """A section's values: known keys only, typed, defaulted and checked."""
+    node.reject_unknown({f.name for f in fields})
+    values = {}
+    for f in fields:
+        default = f.default if defaults is None else defaults.get(f.name, f.default)
+        value = node.get(f.name, f.types, default)
+        if f.valid is not None and value is not None and not f.valid(value):
+            raise ConfigError(f"{node._full(f.name)}: {f.problem.format(value)}")
+        values[f.name] = value
+    return values
+
+
+def _section(top: dict, name: str, fields: tuple[_Field, ...]) -> dict:
+    """Replace the raw top-level section ``name`` by its read values."""
+    top[name] = _read(_Node(top[name], name), fields)
+    return top[name]
+
+
+def _build(make, values: dict, path: str):
+    """The typed object of a section; its own validation errors name the section."""
     try:
-        return DomainRecipe(
-            domain_id=tag,
-            class_means=np.asarray(node.get("class_means", list)),
-            class_covariance_scale=node.get("class_covariance_scale", float),
-            mean_shift=np.asarray(node.get("mean_shift", list)),
-            label_prior=np.asarray(node.get("label_prior", list)),
-        )
+        return make(**values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{node.path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _client_id(path: str, key: str, client_count: int) -> int:
+    try:
+        cid = int(key)
+    except ValueError:
+        raise ConfigError(f"{path}: keys must be client ids") from None
+    if not 0 <= cid < client_count:
+        raise ConfigError(f"{path}: no such client (have 0..{client_count - 1})")
+    return cid
+
+
+def _plain(value):
+    """A JSON-ready copy: arrays and tuples become lists, keys become strings."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def _check_recipe_shape(recipe: DomainRecipe, model: ModelSpec, path: str) -> None:
@@ -212,188 +333,100 @@ def _check_recipe_shape(recipe: DomainRecipe, model: ModelSpec, path: str) -> No
         )
 
 
-def _parse_domain(node: _Node, model: ModelSpec) -> DomainConfig:
-    node.reject_unknown(
-        {"tag", "recipe", "csv", "train_samples", "eval_samples", "clients"}
-    )
-    recipe_raw = node.data.get("recipe")
-    csv_raw = node.data.get("csv")
+def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
+    """One domain and its canonical entry."""
+    values = _read(node, _DOMAIN)
+    recipe_raw, csv_raw = values.pop("recipe"), values.pop("csv")
     if (recipe_raw is None) == (csv_raw is None):
         raise ConfigError(f"{node.path}: exactly one of 'recipe' or 'csv' is required")
+    if isinstance(recipe_raw, str) and values["tag"] is None:
+        values["tag"] = recipe_raw  # a built-in recipe names its domain
+    if csv_raw is not None:
+        # A file-backed domain takes its sizes from the file.
+        del values["train_samples"], values["eval_samples"]
+    for key in values:
+        if values[key] is None:
+            raise ConfigError(f"{node._full(key)}: required key is missing")
 
-    clients = node.get("clients", int, 1)
-    if clients < 1:
-        raise ConfigError(f"{node._full('clients')}: must be >= 1")
-
-    recipe = None
-    recipe_name = None
-    csv = None
-    if recipe_raw is not None:
-        if isinstance(recipe_raw, str):
-            try:
-                recipe = builtin_recipe(recipe_raw)
-            except ValueError as exc:
-                raise ConfigError(f"{node._full('recipe')}: {exc}") from None
-            recipe_name = recipe_raw
-            tag = node.get("tag", str, recipe_name)
-        else:
-            tag = node.get("tag", str)  # inline recipes must be tagged
-            recipe = _parse_recipe(node.child("recipe"), tag)
-        _check_recipe_shape(recipe, model, node._full("recipe"))
-        train_samples = node.get("train_samples", int)
-        eval_samples = node.get("eval_samples", int)
-        if train_samples < 1:
-            raise ConfigError(f"{node._full('train_samples')}: must be >= 1")
-        if eval_samples < 1:
-            raise ConfigError(f"{node._full('eval_samples')}: must be >= 1")
-    else:
-        tag = node.get("tag", str)
+    recipe = csv = None
+    if csv_raw is not None:
         csv_node = node.child("csv")
-        csv_node.reject_unknown({"path", "feature_columns", "label_column", "eval_fraction"})
-        columns = csv_node.get("feature_columns", list)
-        if not columns or not all(isinstance(c, str) for c in columns):
-            raise ConfigError(f"{csv_node._full('feature_columns')}: expected a list of strings")
-        if len(columns) != model.feature_dim:
+        values["csv"] = _read(csv_node, _CSV)
+        csv = CsvDomainSource(**values["csv"])
+        if len(csv.feature_columns) != model.feature_dim:
             raise ConfigError(
-                f"{csv_node._full('feature_columns')}: {len(columns)} columns != model.feature_dim {model.feature_dim}"
+                f"{csv_node._full('feature_columns')}: {len(csv.feature_columns)} columns "
+                f"!= model.feature_dim {model.feature_dim}"
             )
-        eval_fraction = csv_node.get("eval_fraction", float, 0.25)
-        if not 0.0 < eval_fraction < 1.0:
-            raise ConfigError(f"{csv_node._full('eval_fraction')}: must lie in (0, 1)")
-        csv = CsvDomainSource(
-            path=csv_node.get("path", str),
-            feature_columns=tuple(columns),
-            label_column=csv_node.get("label_column", str),
-            eval_fraction=eval_fraction,
-        )
-        train_samples = 0
-        eval_samples = 0
+    elif isinstance(recipe_raw, str):
+        try:
+            recipe = builtin_recipe(recipe_raw)
+        except ValueError as exc:
+            raise ConfigError(f"{node._full('recipe')}: {exc}") from None
+        values["recipe"] = recipe_raw
+    else:
+        recipe_node = node.child("recipe")
+        recipe_values = _read(recipe_node, _RECIPE)
+        recipe = _build(partial(DomainRecipe, values["tag"]), recipe_values, recipe_node.path)
+        # The recipe holds float arrays; emitting those canonicalizes integer literals.
+        values["recipe"] = {f.name: getattr(recipe, f.name) for f in _RECIPE}
+    if recipe is not None:
+        _check_recipe_shape(recipe, model, node._full("recipe"))
 
-    return DomainConfig(
-        tag=tag,
+    domain = DomainConfig(
+        tag=values["tag"],
         recipe=recipe,
-        recipe_name=recipe_name,
+        recipe_name=recipe_raw if isinstance(recipe_raw, str) else None,
         csv=csv,
-        train_samples=train_samples,
-        eval_samples=eval_samples,
-        clients=clients,
+        train_samples=values.get("train_samples", 0),
+        eval_samples=values.get("eval_samples", 0),
+        clients=values["clients"],
     )
+    return domain, values
+
+
+def _parse_weights(raw: dict, client_count: int) -> dict[int, float]:
+    weights = {}
+    for key, value in raw.items():
+        path = f"policy.weights.{key}"
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{path}: expected a number")
+        if not math.isfinite(value) or value < 0:
+            raise ConfigError(f"{path}: must be finite and >= 0")
+        weights[_client_id(path, key, client_count)] = float(value)
+    return weights
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict and fill every default."""
-    root = _Node(raw, "")
-    root.reject_unknown(
-        {
-            "seed",
-            "model",
-            "domains",
-            "partition",
-            "schedule",
-            "policy",
-            "privacy",
-            "secure_aggregation",
-            "fixed_point_scale_bits",
-            "tracked_indices",
-            "transport",
-            "output_dir",
-        }
-    )
+    """Validate a raw config dict and fill every default.
 
-    seed = root.get("seed", int)
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError("seed: must lie in [0, 2^64)")
+    Each section's read values replace its raw dict in ``top``; a JSON-ready
+    copy of ``top`` is the canonical form.
+    """
+    top = _read(_Node(raw, ""), _ROOT)
+    model = _build(ModelSpec, _section(top, "model", _MODEL), "model")
 
-    model_node = root.child("model")
-    model_node.reject_unknown({"family", "feature_dim", "class_count", "l2_coefficient"})
-    try:
-        model = ModelSpec(
-            feature_dim=model_node.get("feature_dim", int),
-            class_count=model_node.get("class_count", int),
-            l2_coefficient=model_node.get("l2_coefficient", float, 0.0),
-            family=model_node.get("family", str, "softmax_linear"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-
-    domains_raw = root.get("domains", list)
-    if not domains_raw:
+    if not top["domains"]:
         raise ConfigError("domains: at least one domain is required")
-    domains = []
-    for i, entry in enumerate(domains_raw):
-        domains.append(_parse_domain(_Node(entry, f"domains[{i}]"), model))
+    parsed = [
+        _parse_domain(_Node(entry, f"domains[{i}]"), model)
+        for i, entry in enumerate(top["domains"])
+    ]
+    domains = [domain for domain, _ in parsed]
+    top["domains"] = [entry for _, entry in parsed]
     tags = [d.tag for d in domains]
     if len(set(tags)) != len(tags):
         raise ConfigError("domains: tags must be unique")
     client_count = sum(d.clients for d in domains)
 
-    part_node = root.child("partition", {})
-    part_node.reject_unknown({"scheme", "dirichlet_alpha", "min_samples_per_client", "seed"})
-    scheme = part_node.get("scheme", str, SCHEME_IID)
-    if scheme not in (SCHEME_IID, SCHEME_DIRICHLET):
-        raise ConfigError(f"partition.scheme: unknown scheme {scheme!r}")
-    partition = PartitionConfig(
-        scheme=scheme,
-        dirichlet_alpha=part_node.get("dirichlet_alpha", float, 1.0),
-        min_samples_per_client=part_node.get("min_samples_per_client", int, 1),
-        seed=part_node.get("seed", int, 0),
-    )
-    if not partition.dirichlet_alpha > 0:
-        raise ConfigError("partition.dirichlet_alpha: must be > 0")
-    if partition.min_samples_per_client < 1:
-        raise ConfigError("partition.min_samples_per_client: must be >= 1")
-    if not 0 <= partition.seed <= MAX_SEED:
-        raise ConfigError("partition.seed: must lie in [0, 2^64)")
+    partition = _build(PartitionConfig, _section(top, "partition", _PARTITION), "partition")
+    schedule = _build(TrainingSchedule, _section(top, "schedule", _SCHEDULE), "schedule")
 
-    sched_node = root.child("schedule")
-    sched_node.reject_unknown(
-        {
-            "rounds",
-            "local_epochs",
-            "batch_size",
-            "learning_rate",
-            "lr_decay",
-            "participation_fraction",
-        }
-    )
-    try:
-        schedule = TrainingSchedule(
-            rounds=sched_node.get("rounds", int),
-            local_epochs=sched_node.get("local_epochs", int, 5),
-            batch_size=sched_node.get("batch_size", int, None),
-            learning_rate=sched_node.get("learning_rate", float, 0.1),
-            lr_decay=sched_node.get("lr_decay", float, 0.99),
-            participation_fraction=sched_node.get("participation_fraction", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
-
-    policy_node = root.child("policy", {})
-    policy_node.reject_unknown({"kind", "weights", "privacy_derived", "epsilon_cap"})
-    kind = policy_node.get("kind", str, POLICY_UNIFORM)
-    if kind not in (POLICY_UNIFORM, POLICY_SIZE, POLICY_CUSTOM):
-        raise ConfigError(f"policy.kind: unknown kind {kind!r}")
-    privacy_derived = policy_node.get("privacy_derived", bool, False)
-    epsilon_cap = policy_node.get("epsilon_cap", float, 8.0)
-    if not epsilon_cap > 0:
-        raise ConfigError("policy.epsilon_cap: must be > 0")
-    weights_raw = policy_node.get("weights", dict, None)
-    weights = None
-    if weights_raw is not None:
-        weights = {}
-        for key, value in weights_raw.items():
-            try:
-                cid = int(key)
-            except ValueError:
-                raise ConfigError(f"policy.weights.{key}: keys must be client ids") from None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"policy.weights.{key}: expected a number")
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"policy.weights.{key}: must be finite and >= 0")
-            if not 0 <= cid < client_count:
-                raise ConfigError(f"policy.weights.{key}: no such client (have 0..{client_count - 1})")
-            weights[cid] = float(value)
-    if kind == POLICY_CUSTOM and not privacy_derived:
+    policy = _section(top, "policy", _POLICY)
+    if policy["weights"] is not None:
+        policy["weights"] = _parse_weights(policy["weights"], client_count)
+    weights = policy["weights"]
+    if policy["kind"] == POLICY_CUSTOM and not policy["privacy_derived"]:
         if weights is None:
             raise ConfigError("policy.weights: required for custom_weighted (or set privacy_derived)")
         missing = [cid for cid in range(client_count) if cid not in weights]
@@ -401,168 +434,47 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"policy.weights: missing weight for client {missing[0]}")
         if not sum(weights.values()) > 0:
             raise ConfigError("policy.weights: total weight must be positive")
-    if privacy_derived and kind != POLICY_CUSTOM:
+    if policy["privacy_derived"] and policy["kind"] != POLICY_CUSTOM:
         raise ConfigError("policy.privacy_derived: only valid with kind custom_weighted")
-    policy = AggregationPolicy(kind=kind, weights=weights)
 
-    privacy_node = root.child("privacy", {})
-    privacy_node.reject_unknown({"enabled", "epsilon", "delta", "clip_norm", "client_overrides"})
-    default_budget = _parse_budget(
-        _Node({k: v for k, v in privacy_node.data.items() if k != "client_overrides"}, "privacy")
-    )
-    overrides_raw = privacy_node.get("client_overrides", dict, {})
-    budget_overrides = {}
-    for key, value in overrides_raw.items():
-        try:
-            cid = int(key)
-        except ValueError:
-            raise ConfigError(
-                f"privacy.client_overrides.{key}: keys must be client ids"
-            ) from None
-        if not 0 <= cid < client_count:
-            raise ConfigError(
-                f"privacy.client_overrides.{key}: no such client (have 0..{client_count - 1})"
-            )
-        budget_overrides[cid] = _parse_budget(
-            _Node(value, f"privacy.client_overrides.{key}"), defaults=default_budget
-        )
+    privacy = _section(top, "privacy", _PRIVACY)
+    overrides = privacy.pop("client_overrides")
+    default_budget = _build(PrivacyBudget, privacy, "privacy")
+    budget_overrides, privacy["client_overrides"] = {}, {}
+    for key, value in overrides.items():
+        path = f"privacy.client_overrides.{key}"
+        cid = _client_id(path, key, client_count)
+        budget = _read(_Node(value, path), _BUDGET, defaults=vars(default_budget))
+        budget_overrides[cid] = _build(PrivacyBudget, budget, path)
+        privacy["client_overrides"][cid] = budget
 
-    secure = root.get("secure_aggregation", bool, False)
-    scale_bits = root.get("fixed_point_scale_bits", int, 24)
-    if not 1 <= scale_bits <= 52:
-        raise ConfigError("fixed_point_scale_bits: must lie in [1, 52]")
-
-    tracked_raw = root.get("tracked_indices", list, [])
-    tracked = []
-    for i, value in enumerate(tracked_raw):
+    dim = param_dim(model)
+    for i, value in enumerate(top["tracked_indices"]):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"tracked_indices[{i}]: expected int")
-        if not 0 <= value < param_dim(model):
-            raise ConfigError(
-                f"tracked_indices[{i}]: out of range for parameter dim {param_dim(model)}"
-            )
-        tracked.append(value)
+        if not 0 <= value < dim:
+            raise ConfigError(f"tracked_indices[{i}]: out of range for parameter dim {dim}")
 
-    transport_node = root.child("transport", {})
-    transport_node.reject_unknown({"host", "port", "timeout_seconds"})
-    transport = TransportConfig(
-        host=transport_node.get("host", str, "127.0.0.1"),
-        port=transport_node.get("port", int, 7700),
-        timeout_seconds=transport_node.get("timeout_seconds", float, 30.0),
-    )
-    if not 0 <= transport.port < 65536:
-        raise ConfigError("transport.port: must lie in [0, 65536)")
-    if not transport.timeout_seconds > 0:
-        raise ConfigError("transport.timeout_seconds: must be > 0")
+    transport = _build(TransportConfig, _section(top, "transport", _TRANSPORT), "transport")
 
-    output_dir = root.get("output_dir", str, "fedmesh-output")
-
-    config = ExperimentConfig(
-        seed=seed,
+    return ExperimentConfig(
+        seed=top["seed"],
         model=model,
         domains=domains,
         partition=partition,
         schedule=schedule,
-        policy=policy,
-        privacy_derived_weights=privacy_derived,
-        epsilon_cap=epsilon_cap,
+        policy=AggregationPolicy(kind=policy["kind"], weights=weights),
+        privacy_derived_weights=policy["privacy_derived"],
+        epsilon_cap=policy["epsilon_cap"],
         default_budget=default_budget,
         budget_overrides=budget_overrides,
-        secure_aggregation=secure,
-        scale_bits=scale_bits,
-        tracked_indices=tuple(tracked),
+        secure_aggregation=top["secure_aggregation"],
+        scale_bits=top["fixed_point_scale_bits"],
+        tracked_indices=tuple(top["tracked_indices"]),
         transport=transport,
-        output_dir=output_dir,
-        canonical={},
+        output_dir=top["output_dir"],
+        canonical=_plain(top),
     )
-    config.canonical = _canonical_dict(config)
-    return config
-
-
-def _canonical_domain(domain: DomainConfig) -> dict:
-    entry: dict = {"tag": domain.tag, "clients": domain.clients}
-    if domain.csv is not None:
-        entry["csv"] = {
-            "path": domain.csv.path,
-            "feature_columns": list(domain.csv.feature_columns),
-            "label_column": domain.csv.label_column,
-            "eval_fraction": domain.csv.eval_fraction,
-        }
-    else:
-        recipe = domain.recipe
-        entry["train_samples"] = domain.train_samples
-        entry["eval_samples"] = domain.eval_samples
-        if domain.recipe_name is not None:
-            entry["recipe"] = domain.recipe_name
-        else:
-            entry["recipe"] = {
-                "class_means": recipe.class_means.tolist(),
-                "class_covariance_scale": recipe.class_covariance_scale,
-                "mean_shift": recipe.mean_shift.tolist(),
-                "label_prior": recipe.label_prior.tolist(),
-            }
-    return entry
-
-
-def _canonical_dict(config: ExperimentConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "model": {
-            "family": config.model.family,
-            "feature_dim": config.model.feature_dim,
-            "class_count": config.model.class_count,
-            "l2_coefficient": config.model.l2_coefficient,
-        },
-        "domains": [_canonical_domain(d) for d in config.domains],
-        "partition": {
-            "scheme": config.partition.scheme,
-            "dirichlet_alpha": config.partition.dirichlet_alpha,
-            "min_samples_per_client": config.partition.min_samples_per_client,
-            "seed": config.partition.seed,
-        },
-        "schedule": {
-            "rounds": config.schedule.rounds,
-            "local_epochs": config.schedule.local_epochs,
-            "batch_size": config.schedule.batch_size,
-            "learning_rate": config.schedule.learning_rate,
-            "lr_decay": config.schedule.lr_decay,
-            "participation_fraction": config.schedule.participation_fraction,
-        },
-        "policy": {
-            "kind": config.policy.kind,
-            "weights": (
-                {str(k): v for k, v in sorted(config.policy.weights.items())}
-                if config.policy.weights is not None
-                else None
-            ),
-            "privacy_derived": config.privacy_derived_weights,
-            "epsilon_cap": config.epsilon_cap,
-        },
-        "privacy": {
-            "enabled": config.default_budget.enabled,
-            "epsilon": config.default_budget.epsilon,
-            "delta": config.default_budget.delta,
-            "clip_norm": config.default_budget.clip_norm,
-            "client_overrides": {
-                str(cid): {
-                    "enabled": b.enabled,
-                    "epsilon": b.epsilon,
-                    "delta": b.delta,
-                    "clip_norm": b.clip_norm,
-                }
-                for cid, b in sorted(config.budget_overrides.items())
-            },
-        },
-        "secure_aggregation": config.secure_aggregation,
-        "fixed_point_scale_bits": config.scale_bits,
-        "tracked_indices": list(config.tracked_indices),
-        "transport": {
-            "host": config.transport.host,
-            "port": config.transport.port,
-            "timeout_seconds": config.transport.timeout_seconds,
-        },
-        "output_dir": config.output_dir,
-    }
 
 
 def canonical_text(config: ExperimentConfig) -> str:

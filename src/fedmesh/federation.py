@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,7 @@ log = logging.getLogger(__name__)
 POLICY_UNIFORM = "uniform"
 POLICY_SIZE = "size_weighted"
 POLICY_CUSTOM = "custom_weighted"
+POLICY_KINDS = (POLICY_UNIFORM, POLICY_SIZE, POLICY_CUSTOM)
 
 GLOBAL_TAG = "global"
 
@@ -72,12 +73,6 @@ class ClientState:
     domain_tag: str
     data: Dataset
     budget: PrivacyBudget
-    weight_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.weight_override is not None:
-            if not math.isfinite(self.weight_override) or self.weight_override < 0:
-                raise ValueError("weight_override must be finite and >= 0")
 
 
 @dataclass
@@ -110,7 +105,7 @@ class AggregationPolicy:
     weights: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (POLICY_UNIFORM, POLICY_SIZE, POLICY_CUSTOM):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown aggregation policy {self.kind!r}")
         if self.weights is not None:
             for cid, w in self.weights.items():
@@ -243,30 +238,65 @@ def local_train(
     )
 
 
-def _raw_weight(update: ClientUpdate, policy: AggregationPolicy) -> float:
-    if policy.kind == POLICY_UNIFORM:
-        return 1.0
-    if policy.kind == POLICY_SIZE:
-        return float(update.sample_count)
-    if policy.weights is None or update.client_id not in policy.weights:
-        raise ValueError(
-            f"custom_weighted policy is missing a weight for client {update.client_id}"
-        )
-    return float(policy.weights[update.client_id])
+def policy_coefficients(
+    policy: AggregationPolicy, sample_counts: dict[int, int]
+) -> dict[int, float]:
+    """Normalized aggregation coefficients of the given clients under ``policy``.
+
+    The raw weights are summed in client-id order, so the coefficients do
+    not depend on the order of ``sample_counts``.
+    """
+    raw = {}
+    for cid in sorted(sample_counts):
+        if policy.kind == POLICY_UNIFORM:
+            raw[cid] = 1.0
+        elif policy.kind == POLICY_SIZE:
+            raw[cid] = float(sample_counts[cid])
+        elif policy.weights is None or cid not in policy.weights:
+            raise ValueError(f"custom_weighted policy is missing a weight for client {cid}")
+        else:
+            raw[cid] = float(policy.weights[cid])
+    total = sum(raw.values())
+    if not total > 0:
+        raise ValueError("zero total weight under the aggregation policy")
+    return {cid: w / total for cid, w in raw.items()}
 
 
 def aggregation_coefficients(
     updates: list[ClientUpdate], policy: AggregationPolicy
 ) -> dict[int, float]:
     """Normalized convex-combination coefficients for non-flagged updates."""
+    return policy_coefficients(
+        policy, {u.client_id: u.sample_count for u in updates if not u.diverged}
+    )
+
+
+def _combined_delta(
+    updates: list[ClientUpdate],
+    coefficients: dict[int, float],
+    summed: np.ndarray | None = None,
+) -> np.ndarray:
+    """The global step: the coefficient-weighted sum of non-flagged deltas.
+
+    ``summed`` is that sum when it was formed elsewhere (the unmasked
+    total of a secure round); otherwise it is accumulated here over the
+    updates in client-id order, starting from zeros.  When any update is
+    flagged, the sum is divided by the non-flagged coefficients' total so
+    the remaining updates still form a convex combination.
+    """
     usable = sorted((u for u in updates if not u.diverged), key=lambda u: u.client_id)
     if not usable:
         raise ValueError("no non-flagged updates to aggregate")
-    raw = [_raw_weight(u, policy) for u in usable]
-    total = sum(raw)
-    if not total > 0:
-        raise ValueError("zero total weight under the aggregation policy")
-    return {u.client_id: w / total for u, w in zip(usable, raw)}
+    if summed is None:
+        summed = np.zeros_like(usable[0].delta)
+        for update in usable:
+            summed = summed + coefficients[update.client_id] * update.delta
+    if len(usable) < len(updates):
+        usable_total = sum(coefficients[u.client_id] for u in usable)
+        if not usable_total > 0:
+            raise ValueError("zero total weight under the aggregation policy")
+        summed = summed / usable_total
+    return summed
 
 
 def aggregate(
@@ -279,13 +309,8 @@ def aggregate(
     Updates are sorted by client id before accumulation, so the result is
     bitwise independent of input order.
     """
-    coeffs = aggregation_coefficients(updates, policy)
-    combined = np.zeros_like(global_params)
-    for update in sorted(updates, key=lambda u: u.client_id):
-        if update.diverged:
-            continue
-        combined = combined + coeffs[update.client_id] * update.delta
-    return global_params + combined
+    coefficients = policy_coefficients(policy, {u.client_id: u.sample_count for u in updates})
+    return global_params + _combined_delta(updates, coefficients)
 
 
 def derive_privacy_weights(
@@ -316,9 +341,9 @@ class RoundInputs:
 
     round_index: int
     participant_ids: list[int]
-    updates: list[ClientUpdate]
+    coefficients: dict[int, float]
+    updates: list[ClientUpdate] = field(default_factory=list)
     shares: list[MaskedShare] | None = None
-    coefficients: dict[int, float] | None = None
 
 
 class FederationEngine:
@@ -356,16 +381,7 @@ class FederationEngine:
         if any(i >= dim for i in tracked_indices):
             raise ValueError("tracked index out of range for the model")
         if policy.kind == POLICY_CUSTOM and policy.weights is None:
-            # Fall back to the per-client overrides as the weight source.
-            overrides = {}
-            for client in clients:
-                if client.weight_override is None:
-                    raise ValueError(
-                        f"custom_weighted policy needs weights or a weight_override "
-                        f"on every client (client {client.client_id} has none)"
-                    )
-                overrides[client.client_id] = client.weight_override
-            policy = AggregationPolicy(kind=POLICY_CUSTOM, weights=overrides)
+            raise ValueError("custom_weighted policy needs weights")
         self.spec = spec
         self.clients = {c.client_id: c for c in sorted(clients, key=lambda c: c.client_id)}
         self.schedule = schedule
@@ -395,23 +411,15 @@ class FederationEngine:
         chosen = rng.permutation(np.asarray(ids))[:count]
         return sorted(int(c) for c in chosen)
 
-    def preassigned_coefficients(self, participant_ids: list[int]) -> dict[int, float]:
-        """Coefficients fixed before training (the masked path needs them up front)."""
-        raw = {}
-        for cid in participant_ids:
-            client = self.clients[cid]
-            if self.policy.kind == POLICY_UNIFORM:
-                raw[cid] = 1.0
-            elif self.policy.kind == POLICY_SIZE:
-                raw[cid] = float(len(client.data))
-            else:
-                if self.policy.weights is None or cid not in self.policy.weights:
-                    raise ValueError(f"custom_weighted policy is missing a weight for client {cid}")
-                raw[cid] = float(self.policy.weights[cid])
-        total = sum(raw.values())
-        if not total > 0:
-            raise ValueError("zero total weight under the aggregation policy")
-        return {cid: w / total for cid, w in raw.items()}
+    def begin_round(self, round_index: int) -> RoundInputs:
+        """The round's participants and their coefficients, fixed before training."""
+        pids = self.participants(round_index)
+        sample_counts = {cid: len(self.clients[cid].data) for cid in pids}
+        try:
+            coefficients = policy_coefficients(self.policy, sample_counts)
+        except ValueError as exc:
+            raise FederationAbort(f"round {round_index}: {exc}") from exc
+        return RoundInputs(round_index, pids, coefficients)
 
     def run_local(self, client_id: int, round_index: int) -> ClientUpdate:
         return local_train(
@@ -434,8 +442,15 @@ class FederationEngine:
         if self.seed_matrix is None:
             raise ValueError("engine was not configured for secure aggregation")
         scaled = np.zeros_like(update.delta) if update.diverged else coefficient * update.delta
+        try:
+            encoded = self.codec.encode(scaled)
+        except OverflowError as exc:
+            raise FederationAbort(
+                f"client {update.client_id}, round {update.round_index}: "
+                f"update does not fit the fixed-point codec ({exc})"
+            ) from None
         return mask(
-            self.codec.encode(scaled),
+            encoded,
             update.client_id,
             self.seed_matrix,
             participant_ids,
@@ -444,30 +459,10 @@ class FederationEngine:
 
     def collect_shares(self, inputs: RoundInputs) -> list[MaskedShare]:
         """In-process share collection; the socket server replaces this step."""
-        assert inputs.coefficients is not None
         return [
             self.masked_share_for(u, inputs.coefficients[u.client_id], inputs.participant_ids)
             for u in inputs.updates
         ]
-
-    def _advance_masked(self, inputs: RoundInputs) -> None:
-        assert inputs.shares is not None and inputs.coefficients is not None
-        combined = unmask_sum(inputs.shares, self.codec, inputs.participant_ids)
-        flagged = [u for u in inputs.updates if u.diverged]
-        if flagged:
-            ok_total = sum(
-                inputs.coefficients[u.client_id] for u in inputs.updates if not u.diverged
-            )
-            if not ok_total > 0:
-                raise FederationAbort("all updates in the round were flagged")
-            combined = combined / ok_total
-        self.params = self.params + combined
-
-    def _advance_plain(self, inputs: RoundInputs) -> None:
-        try:
-            self.params = aggregate(inputs.updates, self.policy, self.params)
-        except ValueError as exc:
-            raise FederationAbort(str(exc)) from exc
 
     def complete_round(self, inputs: RoundInputs) -> RoundReport:
         """Aggregate, advance the global model, evaluate, and record."""
@@ -475,10 +470,14 @@ class FederationEngine:
             raise FederationAbort(
                 f"round mismatch: inputs for {inputs.round_index}, engine at {self.round_index}"
             )
+        summed = None
         if self.secure_aggregation:
-            self._advance_masked(inputs)
-        else:
-            self._advance_plain(inputs)
+            summed = unmask_sum(inputs.shares, self.codec, inputs.participant_ids)
+        try:
+            step = _combined_delta(inputs.updates, inputs.coefficients, summed)
+        except ValueError as exc:
+            raise FederationAbort(f"round {inputs.round_index}: {exc}") from exc
+        self.params = self.params + step
         report = self._build_report(inputs)
         self.reports.append(report)
         self.round_index += 1
@@ -486,24 +485,22 @@ class FederationEngine:
 
     def run_round(self) -> RoundReport:
         """One full in-process round, with the single-retry abort policy."""
-        t = self.round_index
-        pids = self.participants(t)
-        updates = [self.run_local(cid, t) for cid in pids]
-        inputs = RoundInputs(round_index=t, participant_ids=pids, updates=updates)
-        if self.secure_aggregation:
-            inputs.coefficients = self.preassigned_coefficients(pids)
-            last_error: SecureSumAbort | None = None
-            for attempt in (1, 2):
-                try:
-                    inputs.shares = self.collect_shares(inputs)
-                    return self.complete_round(inputs)
-                except SecureSumAbort as exc:
-                    last_error = exc
-                    log.warning("round %d attempt %d aborted: %s", t, attempt, exc)
-            raise FederationAbort(
-                f"round {t} failed twice with the same participant set: {last_error}"
-            ) from last_error
-        return self.complete_round(inputs)
+        inputs = self.begin_round(self.round_index)
+        t = inputs.round_index
+        inputs.updates = [self.run_local(cid, t) for cid in inputs.participant_ids]
+        if not self.secure_aggregation:
+            return self.complete_round(inputs)
+        last_error: SecureSumAbort | None = None
+        for attempt in (1, 2):
+            try:
+                inputs.shares = self.collect_shares(inputs)
+                return self.complete_round(inputs)
+            except SecureSumAbort as exc:
+                last_error = exc
+                log.warning("round %d attempt %d aborted: %s", t, attempt, exc)
+        raise FederationAbort(
+            f"round {t} failed twice with the same participant set: {last_error}"
+        ) from last_error
 
     def run(self) -> list[RoundReport]:
         for _ in range(self.schedule.rounds):

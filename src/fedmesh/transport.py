@@ -51,7 +51,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .federation import ClientUpdate, FederationAbort, FederationEngine, RoundInputs
+from .federation import ClientUpdate, FederationAbort, FederationEngine
 from .privacy import MECHANISM_GAUSSIAN, MECHANISM_NONE, NoiseReceipt
 from .secure_sum import MaskedShare
 
@@ -536,6 +536,12 @@ class FederationServer:
         shares: dict[int, MaskedShare] = {}
         end = time.monotonic() + self.timeout
         while set(updates) != wanted:
+            # A reader marks its client dead before queueing its last sentinel,
+            # so with the inbox drained a dead, missing client will send nothing.
+            if self._inbox.empty():
+                lost = sorted(c for c in wanted - set(updates) if not self._clients[c].alive)
+                if lost:
+                    raise FederationAbort(f"client {lost[0]} disconnected mid-round")
             remaining = end - time.monotonic()
             if remaining <= 0:
                 missing = sorted(wanted - set(updates))
@@ -569,9 +575,8 @@ class FederationServer:
         """Drive all rounds; raises TransportError / FederationAbort on failure."""
         secure = self.engine.secure_aggregation
         for _ in range(self.engine.schedule.rounds):
-            t = self.engine.round_index
-            pids = self.engine.participants(t)
-            coeffs = self.engine.preassigned_coefficients(pids) if secure else None
+            inputs = self.engine.begin_round(self.engine.round_index)
+            t, pids = inputs.round_index, inputs.participant_ids
             failure: Exception | None = None
             for attempt in (1, 2):
                 flags_base = (FLAG_SECURE if secure else 0) | (FLAG_RETRY if attempt == 2 else 0)
@@ -579,7 +584,7 @@ class FederationServer:
                 def model_frame(cid: int) -> Frame:
                     selected = cid in pids
                     flags = flags_base | (FLAG_SELECTED if selected else 0)
-                    coeff = coeffs.get(cid, 0.0) if (secure and coeffs and selected) else 0.0
+                    coeff = inputs.coefficients[cid] if (secure and selected) else 0.0
                     return Frame(
                         MessageType.GLOBAL_MODEL,
                         t,
@@ -589,14 +594,7 @@ class FederationServer:
 
                 self._broadcast(model_frame)
                 try:
-                    updates, shares = self._collect(t, pids, secure)
-                    inputs = RoundInputs(
-                        round_index=t,
-                        participant_ids=pids,
-                        updates=updates,
-                        shares=shares,
-                        coefficients=coeffs,
-                    )
+                    inputs.updates, inputs.shares = self._collect(t, pids, secure)
                     report = self.engine.complete_round(inputs)
                     failure = None
                     break
@@ -652,6 +650,10 @@ class FederationClient:
             self._run(conn)
         except FrameError as exc:
             raise TransportError(f"protocol error: {exc}") from exc
+        except socket.timeout as exc:
+            raise TransportError(
+                f"no frame from the server within {conn.sock.gettimeout():g} s"
+            ) from exc
         finally:
             conn.close()
 
@@ -676,7 +678,10 @@ class FederationClient:
         version, server_hash, _expected = decode_hello(ack.payload)
         if version != PROTOCOL_VERSION or server_hash != self.config_hash:
             raise TransportError("config hash mismatch", exit_code=BYE_CONFIG_MISMATCH)
-        conn.sock.settimeout(None)
+        # The server may wait up to its timeout for each other client to
+        # register, and up to its timeout collecting a round, before its next
+        # frame or ABORT; a silent server outlasts that.
+        conn.sock.settimeout(self.timeout * (len(self.engine.clients) + 1))
         while True:
             frame = conn.recv()
             if frame is None:

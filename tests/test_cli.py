@@ -1,5 +1,7 @@
 import csv
 import json
+import threading
+import time
 
 from fedmesh.cli import main
 
@@ -87,6 +89,62 @@ def test_diverging_run_exits_2(tmp_path):
         ]
     )
     assert code == 2
+
+
+# Huge steps keep the update finite but beyond the fixed-point codec's range.
+OVERFLOW = ["secure_aggregation=true", "privacy.enabled=false", "schedule.learning_rate=1e13"]
+
+
+def _override_flags(items):
+    return [arg for item in items for arg in ("--override", item)]
+
+
+def test_fixed_point_overflow_exits_2(tmp_path, capsys):
+    code = main(
+        ["simulate", "--config", CONFIG, "--out", str(tmp_path / "o"), *_override_flags(OVERFLOW)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("run aborted: client 0, round 0:")
+
+
+def test_server_aborts_at_once_when_a_participant_is_gone():
+    # The lone client's share overflows, so it aborts and hangs up in round 0;
+    # the retry must not wait out the server's timeout for it.
+    from fedmesh.config import config_hash, load_config
+    from fedmesh.experiment import build_engine
+    from fedmesh.transport import FederationServer, TransportError
+
+    overrides = OVERFLOW + ["domains.0.clients=1"]
+    config = load_config("configs/iid_baseline.cfg", overrides=overrides)
+    server = FederationServer(build_engine(config), config_hash(config), port=0, timeout=20)
+    host, port = server.address
+    outcome = {}
+
+    def serve():
+        started = time.monotonic()
+        try:
+            server.wait_for_clients()
+            server.run()
+        except TransportError as exc:
+            outcome["error"] = exc
+        outcome["seconds"] = time.monotonic() - started
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    code = main(
+        [
+            "join", "--config", "configs/iid_baseline.cfg", "--server", f"{host}:{port}",
+            "--client-id", "0", *_override_flags(overrides),
+        ]
+    )
+    thread.join(60)
+    server.close()
+    assert not thread.is_alive()
+    assert code == 2
+    assert outcome["error"].exit_code == 2
+    assert outcome["seconds"] < 10
 
 
 def test_validate_prints_canonical_form(tmp_path, capsys):

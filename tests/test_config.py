@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -16,6 +18,35 @@ MINIMAL = {
     "model": {"feature_dim": 2, "class_count": 3},
     "domains": [{"recipe": "medical", "train_samples": 60, "eval_samples": 30}],
     "schedule": {"rounds": 2},
+}
+
+
+CSV_DOMAIN = {
+    "tag": "file",
+    "csv": {"path": "domain.csv", "feature_columns": ["f0", "f1"], "label_column": "label"},
+}
+RECIPE_DOMAIN = {
+    "tag": "inline",
+    "recipe": {
+        "class_means": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+        "class_covariance_scale": 0.5,
+        "mean_shift": [0.0, 0.0],
+        "label_prior": [0.4, 0.3, 0.3],
+    },
+    "train_samples": 30,
+    "eval_samples": 10,
+}
+
+# Frozen from the bundled configs: (config_hash hex, sha256 of canonical_text).
+BUNDLED_GOLDENS = {
+    "configs/three_domains.cfg": (
+        "771d4932c982192f83fcab3091d921bea9f730ed7e6a7c8a723d834db9bdd513",
+        "bdbf16cb2324ba0d0df9ade7d223036f7540d341e5fd0590b3ea55b320537f84",
+    ),
+    "configs/iid_baseline.cfg": (
+        "c4ea5f1852a91e7d07b5c998da7013cc8871d39eb6ec0129c67e2544d456463a",
+        "1e8339e05edfa60b63d399282c5c89b7452c4ecbca78f4088bdd3cd5b4a380a6",
+    ),
 }
 
 
@@ -156,3 +187,34 @@ def test_bundled_configs_parse():
     for name in ("configs/three_domains.cfg", "configs/iid_baseline.cfg"):
         config = load_config(name)
         assert config.client_count >= 1
+
+
+@pytest.mark.parametrize("path", sorted(BUNDLED_GOLDENS))
+def test_bundled_config_hash_and_canonical_text_are_pinned(path):
+    config = load_config(path)
+    hash_hex, text_sha = BUNDLED_GOLDENS[path]
+    assert config_hash(config).hex() == hash_hex
+    assert hashlib.sha256(canonical_text(config).encode("utf-8")).hexdigest() == text_sha
+
+
+@pytest.mark.parametrize(
+    "path,section",
+    [
+        ("model", lambda r: r["model"]),
+        ("partition", lambda r: r.setdefault("partition", {})),
+        ("schedule", lambda r: r["schedule"]),
+        ("policy", lambda r: r.setdefault("policy", {})),
+        ("privacy", lambda r: r["privacy"]),
+        ("privacy.client_overrides.0", lambda r: r["privacy"]["client_overrides"]["0"]),
+        ("transport", lambda r: r.setdefault("transport", {})),
+        ("domains[0].csv", lambda r: r["domains"][0]["csv"]),
+        ("domains[0].recipe", lambda r: r["domains"][0]["recipe"]),
+    ],
+)
+def test_unknown_key_rejected_in_every_section(path, section):
+    domain = CSV_DOMAIN if path.endswith("csv") else RECIPE_DOMAIN
+    raw = _raw(domains=[json.loads(json.dumps(domain))], privacy={"client_overrides": {"0": {}}})
+    parse_config(raw)  # valid before the stray key goes in
+    section(raw)["surprise"] = 1
+    with pytest.raises(ConfigError, match=re.escape(f"{path}.surprise: unknown key")):
+        parse_config(raw)

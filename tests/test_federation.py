@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -337,14 +338,58 @@ def test_secure_matches_plaintext_within_fixed_point_bound(kind):
     assert np.max(np.abs(plain.params - masked.params)) <= 3 * 2.0**-23
 
 
-def test_weight_override_feeds_custom_policy():
+def _flagging(engine, flagged_ids):
+    """Make the given clients' updates come back flagged, as if they diverged."""
+    original = engine.run_local
+
+    def run_local(cid, t):
+        update = original(cid, t)
+        if cid in flagged_ids:
+            update = dataclasses.replace(update, delta=np.zeros_like(update.delta), diverged=True)
+        return update
+
+    engine.run_local = run_local
+    return engine
+
+
+def test_flagged_client_renormalizes_alike_in_plain_and_secure_rounds():
+    def build(secure):
+        clients = [_client(i, tag) for i, tag in enumerate(["medical", "financial", "user"])]
+        engine = _engine(
+            clients,
+            TrainingSchedule(rounds=1, local_epochs=4),
+            policy=AggregationPolicy("size_weighted"),
+            secure_aggregation=secure,
+        )
+        return _flagging(engine, {1})
+
+    plain, masked = build(False), build(True)
+    # The two remaining clients form a convex combination on their own.
+    survivors = [plain.run_local(cid, 0) for cid in (0, 2)]
+    expected = aggregate(survivors, AggregationPolicy("size_weighted"), plain.params)
+    plain_report = plain.run_round()
+    masked.run_round()
+    assert [r.diverged for r in plain_report.clients] == [False, True, False]
+    np.testing.assert_allclose(plain.params, expected, rtol=1e-12, atol=1e-15)
+    assert np.max(np.abs(plain.params - masked.params)) <= 3 * 2.0**-23
+
+
+@pytest.mark.parametrize("secure", [False, True])
+def test_all_flagged_round_aborts(secure):
     clients = [_client(i) for i in range(3)]
-    for client, weight in zip(clients, (1.0, 2.0, 5.0)):
-        client.weight_override = weight
-    engine = _engine(clients, TrainingSchedule(rounds=1), policy=AggregationPolicy("custom_weighted"))
-    assert engine.policy.weights == {0: 1.0, 1: 2.0, 2: 5.0}
-    clients = [_client(i) for i in range(2)]  # no overrides anywhere
-    with pytest.raises(ValueError, match="weight_override"):
+    engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=secure)
+    _flagging(engine, {0, 1, 2})
+    with pytest.raises(FederationAbort, match="no non-flagged"):
+        engine.run_round()
+
+
+def test_custom_policy_takes_explicit_weights():
+    clients = [_client(i) for i in range(3)]
+    policy = AggregationPolicy("custom_weighted", weights={0: 1.0, 1: 2.0, 2: 5.0})
+    engine = _engine(clients, TrainingSchedule(rounds=1), policy=policy)
+    assert engine.begin_round(0).coefficients == {0: 0.125, 1: 0.25, 2: 0.625}
+    clients = [_client(i) for i in range(2)]  # no weights anywhere
+    with pytest.raises(ValueError, match="needs weights"):
         _engine(clients, TrainingSchedule(rounds=1), policy=AggregationPolicy("custom_weighted"))
 
 

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -481,3 +482,43 @@ def test_client_disconnect_mid_round_halts_after_retry():
     server.close()
     assert isinstance(server_error.get("exc"), TransportError)
     assert server_error["exc"].exit_code == 2
+
+
+def test_client_gives_up_on_a_silent_server():
+    config = _config()
+    listener = socket.create_server(("127.0.0.1", 0))
+    release = threading.Event()
+    outcome = {}
+
+    def ack_then_fall_silent():
+        sock, _ = listener.accept()
+        conn = FrameConnection(sock)
+        hello = conn.recv()
+        conn.send(Frame(MessageType.HELLO, 0, hello.client_id, encode_hello(config_hash(config), 3)))
+        release.wait(30)
+        conn.close()
+
+    def join():
+        client = FederationClient(
+            build_engine(config), 0, config_hash(config), listener.getsockname()[:2], timeout=0.2
+        )
+        started = time.monotonic()
+        try:
+            client.run()
+        except TransportError as exc:
+            outcome["error"] = exc
+        outcome["seconds"] = time.monotonic() - started
+
+    server = threading.Thread(target=ack_then_fall_silent)
+    joiner = threading.Thread(target=join)
+    server.start()
+    joiner.start()
+    joiner.join(10)
+    release.set()
+    server.join(10)
+    joiner.join(10)
+    listener.close()
+    assert not server.is_alive() and not joiner.is_alive()
+    assert outcome["error"].exit_code == 2
+    assert "no frame from the server" in str(outcome["error"])
+    assert outcome["seconds"] < 5
