@@ -32,19 +32,18 @@ loss_after f64, sample_count u32, diverged u8, mechanism u8 (0 none,
 u16 + that many f64 tracked local coordinates.
 
 The server is a single round-state machine (broadcast -> collect ->
-aggregate); each client connection gets its own reader thread and the
-collect barrier is the only synchronization point.  The protocol carries
-no TLS; the threat model here is covered by differential privacy plus
-masking, not transport encryption.
+aggregate) in its caller's thread; one ``selectors`` loop does all its
+reads, so no connection can stall another.  The protocol carries no TLS;
+the threat model here is covered by differential privacy plus masking,
+not transport encryption.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import selectors
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
@@ -234,7 +233,9 @@ def _encode_metadata(update: ClientUpdate) -> bytes:
     return body
 
 
-def _decode_metadata(buf: bytes, offset: int):
+def _decode_update(frame: Frame, delta: np.ndarray, offset: int) -> ClientUpdate:
+    """The update of ``delta`` with the metadata tail at ``offset`` of the payload."""
+    buf = frame.payload
     if len(buf) < offset + _META.size:
         raise FrameError("truncated update metadata")
     (
@@ -249,17 +250,28 @@ def _decode_metadata(buf: bytes, offset: int):
         n_tracked,
     ) = _META.unpack_from(buf, offset)
     offset += _META.size
-    end = offset + 8 * n_tracked
-    if len(buf) < end:
+    if len(buf) < offset + 8 * n_tracked:
         raise FrameError("truncated tracked values")
-    tracked = struct.unpack_from(f">{n_tracked}d", buf, offset) if n_tracked else ()
-    receipt = NoiseReceipt(
-        sigma=sigma,
-        clip_applied=bool(clip_applied),
-        pre_clip_norm=pre_clip_norm,
-        mechanism=MECHANISM_GAUSSIAN if mech else MECHANISM_NONE,
-    )
-    return loss_before, loss_after, sample_count, bool(diverged), receipt, tuple(tracked), end
+    try:
+        receipt = NoiseReceipt(
+            sigma=sigma,
+            clip_applied=bool(clip_applied),
+            pre_clip_norm=pre_clip_norm,
+            mechanism=MECHANISM_GAUSSIAN if mech else MECHANISM_NONE,
+        )
+        return ClientUpdate(
+            client_id=frame.client_id,
+            round_index=frame.round_index,
+            delta=delta,
+            sample_count=sample_count,
+            loss_before=loss_before,
+            loss_after=loss_after,
+            receipt=receipt,
+            diverged=bool(diverged),
+            tracked_values=struct.unpack_from(f">{n_tracked}d", buf, offset),
+        )
+    except ValueError as exc:
+        raise FrameError(f"invalid update: {exc}") from None
 
 
 def encode_client_update(update: ClientUpdate) -> bytes:
@@ -269,20 +281,7 @@ def encode_client_update(update: ClientUpdate) -> bytes:
 
 def decode_client_update(frame: Frame) -> ClientUpdate:
     delta, offset = decode_params(frame.payload)
-    loss_before, loss_after, sample_count, diverged, receipt, tracked, _ = _decode_metadata(
-        frame.payload, offset
-    )
-    return ClientUpdate(
-        client_id=frame.client_id,
-        round_index=frame.round_index,
-        delta=delta,
-        sample_count=sample_count,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        receipt=receipt,
-        diverged=diverged,
-        tracked_values=tracked,
-    )
+    return _decode_update(frame, delta, offset)
 
 
 def encode_masked_share(share: MaskedShare, update: ClientUpdate) -> bytes:
@@ -296,30 +295,15 @@ def decode_masked_share(frame: Frame) -> tuple[MaskedShare, ClientUpdate]:
     if len(buf) < 4:
         raise FrameError("truncated MASKED_SHARE payload")
     (dim,) = struct.unpack_from(">I", buf)
-    offset = 4
-    end = offset + 8 * dim
+    end = 4 + 8 * dim
     if len(buf) < end:
         raise FrameError("truncated masked words")
-    words = np.frombuffer(buf[offset:end], dtype=">u8").astype(np.uint64)
-    loss_before, loss_after, sample_count, diverged, receipt, tracked, _ = _decode_metadata(
-        buf, end
-    )
+    words = np.frombuffer(buf[4:end], dtype=">u8").astype(np.uint64)
     share = MaskedShare(
         client_id=frame.client_id, round_index=frame.round_index, masked_values=words
     )
     # The delta placeholder is never aggregated; masked rounds sum the shares.
-    update = ClientUpdate(
-        client_id=frame.client_id,
-        round_index=frame.round_index,
-        delta=np.zeros(int(dim), dtype=np.float64),
-        sample_count=sample_count,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        receipt=receipt,
-        diverged=diverged,
-        tracked_values=tracked,
-    )
-    return share, update
+    return share, _decode_update(frame, np.zeros(dim, dtype=np.float64), end)
 
 
 def encode_round_summary(global_loss: float, accuracy: float) -> bytes:
@@ -346,7 +330,7 @@ def decode_notice(buf: bytes) -> tuple[int, str]:
     return code, buf[3 : 3 + length].decode("utf-8", errors="replace")
 
 
-# -- blocking socket helpers -------------------------------------------------
+# -- socket helpers ----------------------------------------------------------
 
 
 class FrameConnection:
@@ -360,12 +344,20 @@ class FrameConnection:
     def send(self, frame: Frame) -> None:
         self.sock.sendall(encode_frame(frame))
 
+    def read(self) -> list[Frame] | None:
+        """One ``recv``: the frames it completed (maybe none), or None on EOF."""
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            return None
+        return self._decoder.feed(chunk)
+
     def recv(self) -> Frame | None:
+        """Block until the next frame arrives; None on EOF."""
         while not self._pending:
-            chunk = self.sock.recv(65536)
-            if not chunk:
+            frames = self.read()
+            if frames is None:
                 return None
-            self._pending.extend(self._decoder.feed(chunk))
+            self._pending.extend(frames)
         return self._pending.pop(0)
 
     def close(self) -> None:
@@ -387,15 +379,12 @@ class TransportError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass
-class _Registered:
-    client_id: int
-    conn: FrameConnection
-    alive: bool = True
-
-
 class FederationServer:
-    """Round-state machine over TCP: IDLE -> BROADCAST -> COLLECT -> AGGREGATE."""
+    """Round-state machine over TCP: IDLE -> BROADCAST -> COLLECT -> AGGREGATE.
+
+    One selector holds the listener, connections that have not sent HELLO
+    yet (data ``(conn, None)``) and registered clients (``(conn, id)``).
+    """
 
     def __init__(
         self,
@@ -409,84 +398,125 @@ class FederationServer:
         self.config_hash = config_hash
         self.timeout = timeout
         self._listener = socket.create_server((host, port))
-        self._clients: dict[int, _Registered] = {}
-        self._inbox: "queue.Queue[tuple[int, Frame | None]]" = queue.Queue()
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._clients: dict[int, FrameConnection] = {}
+        self._dropped: dict[int, str] = {}  # client id -> why it was dropped
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def close(self) -> None:
-        for reg in self._clients.values():
-            reg.conn.close()
+        for key in list(self._selector.get_map().values()):
+            if key.data is not None:
+                key.data[0].close()
+        self._selector.close()
         self._listener.close()
+
+    # event loop -----------------------------------------------------------
+
+    def _poll(self, deadline: float) -> list[tuple[int, Frame]]:
+        """Wait until a socket is ready or ``deadline``, then serve every ready one.
+
+        Accepts connections, registers clients whose HELLO passes, and
+        returns the frames registered clients sent.  A connection that
+        closes, fails or sends a malformed frame is dropped.
+        """
+        received = []
+        for key, _ in self._selector.select(deadline - time.monotonic()):
+            if key.data is None:
+                try:
+                    sock, _ = self._listener.accept()
+                except OSError:  # the peer gave up before we got to it
+                    continue
+                sock.settimeout(self.timeout)
+                self._selector.register(sock, selectors.EVENT_READ, (FrameConnection(sock), None))
+                continue
+            conn, cid = key.data
+            try:
+                frames = conn.read()
+                if frames is None:
+                    self._drop(conn, cid, "connection closed")
+                    continue
+                for frame in frames:
+                    if cid is None:
+                        cid = self._handshake(conn, frame)
+                    else:
+                        received.append((cid, frame))
+            except OversizeFrameError as exc:
+                try:
+                    conn.send(
+                        Frame(MessageType.ABORT, 0, cid or 0, encode_notice(ABORT_FATAL, str(exc)))
+                    )
+                except OSError:
+                    pass
+                self._drop(conn, cid, exc)
+            except (OSError, FrameError) as exc:
+                self._drop(conn, cid, exc)
+        return received
+
+    def _drop(self, conn: FrameConnection, cid: int | None, reason: object) -> None:
+        log.warning("dropping %s: %s", "connection" if cid is None else f"client {cid}", reason)
+        self._selector.unregister(conn.sock)
+        conn.close()
+        if self._clients.pop(cid, None) is not None:
+            self._dropped[cid] = str(reason)
 
     # handshake ----------------------------------------------------------
 
     def wait_for_clients(self) -> None:
-        """Accept HELLOs until every expected client id has registered."""
-        expected = set(self.engine.clients)
-        self._listener.settimeout(self.timeout)
-        while set(self._clients) != expected:
-            try:
-                sock, addr = self._listener.accept()
-            except socket.timeout:
-                raise TransportError(
-                    f"timed out waiting for clients; missing {sorted(expected - set(self._clients))}"
-                ) from None
-            sock.settimeout(self.timeout)
-            conn = FrameConnection(sock)
-            try:
-                self._handshake(conn, expected)
-            except FrameError as exc:
-                log.warning("rejecting connection from %s: %s", addr, exc)
-                conn.close()
-        for reg in self._clients.values():
-            reg.conn.sock.settimeout(None)
-            thread = threading.Thread(
-                target=self._reader, args=(reg,), name=f"reader-{reg.client_id}", daemon=True
-            )
-            thread.start()
+        """Accept HELLOs until every expected client id has registered.
 
-    def _handshake(self, conn: FrameConnection, expected: set[int]) -> None:
-        frame = conn.recv()
-        if frame is None or frame.msg_type != MessageType.HELLO:
+        The ``timeout`` deadline restarts with each registration.  Once all
+        clients are in, the listener stops and connections that never sent
+        HELLO are closed.
+        """
+        expected = set(self.engine.clients)
+        deadline = time.monotonic() + self.timeout
+        while set(self._clients) != expected:
+            missing = sorted(expected - set(self._clients))
+            if time.monotonic() >= deadline:
+                raise TransportError(f"timed out waiting for clients; missing {missing}")
+            registered = len(self._clients)
+            for cid, frame in self._poll(deadline):
+                log.warning("dropping frame type %d from client %d", frame.msg_type, cid)
+            if len(self._clients) > registered:
+                deadline = time.monotonic() + self.timeout
+        self._selector.unregister(self._listener)
+        for key in list(self._selector.get_map().values()):
+            conn, cid = key.data
+            if cid is None:
+                self._drop(conn, cid, "no HELLO before every client registered")
+
+    def _handshake(self, conn: FrameConnection, frame: Frame) -> int:
+        """Register the client whose first frame is ``frame``; returns its id.
+
+        A refused HELLO gets a BYE and raises :class:`FrameError`, except a
+        config hash mismatch, which stops the server with exit code 3.
+        """
+        if frame.msg_type != MessageType.HELLO:
             raise FrameError("expected HELLO")
         version, client_hash, sample_count = decode_hello(frame.payload)
         cid = frame.client_id
+
+        def refuse(code: int, reason: str, fatal: bool = False) -> None:
+            conn.send(Frame(MessageType.BYE, 0, 0, encode_notice(code, reason)))
+            message = f"client {cid}: {reason}"
+            raise TransportError(message, exit_code=code) if fatal else FrameError(message)
+
         if version != PROTOCOL_VERSION:
-            conn.send(
-                Frame(MessageType.BYE, 0, 0, encode_notice(BYE_NORMAL, "protocol version mismatch"))
-            )
-            raise FrameError(f"client {cid}: protocol version {version}")
+            refuse(BYE_NORMAL, "protocol version mismatch")
         if client_hash != self.config_hash:
-            conn.send(
-                Frame(
-                    MessageType.BYE, 0, 0, encode_notice(BYE_CONFIG_MISMATCH, "config hash mismatch")
-                )
-            )
-            conn.close()
             # Mismatched configs cannot reconcile; both sides stop with code 3.
-            raise TransportError(
-                f"client {cid} presented a different config hash",
-                exit_code=BYE_CONFIG_MISMATCH,
-            )
-        if cid not in expected:
-            conn.send(Frame(MessageType.BYE, 0, 0, encode_notice(BYE_NORMAL, "unknown client id")))
-            raise FrameError(f"unknown client id {cid}")
+            refuse(BYE_CONFIG_MISMATCH, "config hash mismatch", fatal=True)
+        if cid not in self.engine.clients:
+            refuse(BYE_NORMAL, "unknown client id")
         if cid in self._clients:
-            conn.send(
-                Frame(MessageType.BYE, 0, 0, encode_notice(BYE_NORMAL, "client id already connected"))
-            )
-            raise FrameError(f"duplicate client id {cid}")
-        local_count = len(self.engine.clients[cid].data)
-        if sample_count != local_count:
-            conn.send(
-                Frame(
-                    MessageType.BYE, 0, 0, encode_notice(BYE_CONFIG_MISMATCH, "sample count mismatch")
-                )
-            )
-            raise FrameError(f"client {cid}: sample count {sample_count} != {local_count}")
+            refuse(BYE_NORMAL, "client id already connected")
+        if sample_count != len(self.engine.clients[cid].data):
+            refuse(BYE_CONFIG_MISMATCH, "sample count mismatch")
         conn.send(
             Frame(
                 MessageType.HELLO,
@@ -495,76 +525,60 @@ class FederationServer:
                 encode_hello(self.config_hash, len(self.engine.clients)),
             )
         )
-        self._clients[cid] = _Registered(client_id=cid, conn=conn)
+        self._selector.modify(conn.sock, selectors.EVENT_READ, (conn, cid))
+        self._clients[cid] = conn
         log.info("client %d registered", cid)
-
-    def _reader(self, reg: _Registered) -> None:
-        try:
-            while True:
-                frame = reg.conn.recv()
-                if frame is None:
-                    break
-                self._inbox.put((reg.client_id, frame))
-        except OversizeFrameError as exc:
-            log.warning("client %d sent an oversize frame: %s", reg.client_id, exc)
-            try:
-                reg.conn.send(
-                    Frame(MessageType.ABORT, 0, reg.client_id, encode_notice(ABORT_FATAL, str(exc)))
-                )
-            except OSError:
-                pass
-        except (OSError, FrameError) as exc:
-            log.warning("client %d connection error: %s", reg.client_id, exc)
-        reg.alive = False
-        self._inbox.put((reg.client_id, None))
+        return cid
 
     # rounds ---------------------------------------------------------------
 
     def _broadcast(self, frame_for) -> None:
         for cid in sorted(self._clients):
-            reg = self._clients[cid]
-            if not reg.alive:
-                continue
+            conn = self._clients[cid]
             try:
-                reg.conn.send(frame_for(cid))
-            except OSError:
-                reg.alive = False
+                conn.send(frame_for(cid))
+            except OSError as exc:
+                self._drop(conn, cid, exc)
+
+    def _notify(self, msg_type: int, round_index: int, code: int, reason: str) -> None:
+        notice = encode_notice(code, reason)
+        self._broadcast(lambda cid: Frame(msg_type, round_index, cid, notice))
 
     def _collect(self, round_index: int, participant_ids: list[int], secure: bool):
         wanted = set(participant_ids)
         updates: dict[int, ClientUpdate] = {}
-        shares: dict[int, MaskedShare] = {}
+        shares: dict[int, MaskedShare | None] = {}
         end = time.monotonic() + self.timeout
         while set(updates) != wanted:
-            # A reader marks its client dead before queueing its last sentinel,
-            # so with the inbox drained a dead, missing client will send nothing.
-            if self._inbox.empty():
-                lost = sorted(c for c in wanted - set(updates) if not self._clients[c].alive)
-                if lost:
-                    raise FederationAbort(f"client {lost[0]} disconnected mid-round")
-            remaining = end - time.monotonic()
-            if remaining <= 0:
+            lost = sorted(wanted - set(updates) - set(self._clients))
+            if lost:
+                raise FederationAbort(f"client {lost[0]} dropped: {self._dropped[lost[0]]}")
+            if time.monotonic() >= end:
                 missing = sorted(wanted - set(updates))
                 raise FederationAbort(f"timed out waiting for clients {missing}")
-            try:
-                cid, frame = self._inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            if frame is None:
-                if cid in wanted and cid not in updates:
-                    raise FederationAbort(f"client {cid} disconnected mid-round")
-                continue
-            if frame.round_index != round_index or cid not in wanted:
-                log.warning("dropping unexpected frame from %d (round %d)", cid, frame.round_index)
-                continue
-            if secure and frame.msg_type == MessageType.MASKED_SHARE:
-                share, update = decode_masked_share(frame)
-                shares[cid] = share
-                updates[cid] = update
-            elif not secure and frame.msg_type == MessageType.CLIENT_UPDATE:
-                updates[cid] = decode_client_update(frame)
-            else:
-                log.warning("dropping frame type %d from client %d", frame.msg_type, cid)
+            for cid, frame in self._poll(end):
+                if frame.round_index != round_index or cid not in wanted:
+                    log.warning("dropping stray frame from %d (round %d)", cid, frame.round_index)
+                    continue
+                try:
+                    if secure and frame.msg_type == MessageType.MASKED_SHARE:
+                        share, update = decode_masked_share(frame)
+                    elif not secure and frame.msg_type == MessageType.CLIENT_UPDATE:
+                        share, update = None, decode_client_update(frame)
+                    else:
+                        log.warning("dropping frame type %d from client %d", frame.msg_type, cid)
+                        continue
+                    # A flagged update carries no tracked values.
+                    tracked = 0 if update.diverged else len(self.engine.tracked_indices)
+                    fit = (len(self.engine.params), tracked, len(self.engine.clients[cid].data))
+                    got = (len(update.delta), len(update.tracked_values), update.sample_count)
+                    if got != fit:
+                        raise FrameError(f"(dim, tracked, samples) {got} != {fit}")
+                except FrameError as exc:
+                    if cid in self._clients:
+                        self._drop(self._clients[cid], cid, f"malformed update: {exc}")
+                    continue
+                updates[cid], shares[cid] = update, share
         ordered = sorted(updates)
         return (
             [updates[cid] for cid in ordered],
@@ -602,23 +616,13 @@ class FederationServer:
                     failure = exc
                     log.warning("round %d attempt %d aborted: %s", t, attempt, exc)
                     if attempt == 1:
-                        self._broadcast(
-                            lambda cid: Frame(
-                                MessageType.ABORT, t, cid, encode_notice(ABORT_RETRY, str(exc))
-                            )
-                        )
+                        self._notify(MessageType.ABORT, t, ABORT_RETRY, str(exc))
             if failure is not None:
-                self._broadcast(
-                    lambda cid: Frame(
-                        MessageType.ABORT, t, cid, encode_notice(ABORT_FATAL, str(failure))
-                    )
-                )
+                self._notify(MessageType.ABORT, t, ABORT_FATAL, str(failure))
                 raise TransportError(f"round {t} failed twice: {failure}", exit_code=2)
             summary = encode_round_summary(report.global_loss, report.global_metrics.accuracy)
             self._broadcast(lambda cid: Frame(MessageType.ROUND_REPORT, t, cid, summary))
-        self._broadcast(
-            lambda cid: Frame(MessageType.BYE, 0, cid, encode_notice(BYE_NORMAL, "run complete"))
-        )
+        self._notify(MessageType.BYE, 0, BYE_NORMAL, "run complete")
 
 
 # -- client ------------------------------------------------------------------
@@ -716,13 +720,7 @@ class FederationClient:
             update = self.engine.run_local(self.client_id, t)
             if flags & FLAG_SECURE:
                 share = self.engine.masked_share_for(update, coefficient, participant_ids)
-                conn.send(
-                    Frame(
-                        MessageType.MASKED_SHARE, t, self.client_id,
-                        encode_masked_share(share, update),
-                    )
-                )
+                msg_type, payload = MessageType.MASKED_SHARE, encode_masked_share(share, update)
             else:
-                conn.send(
-                    Frame(MessageType.CLIENT_UPDATE, t, self.client_id, encode_client_update(update))
-                )
+                msg_type, payload = MessageType.CLIENT_UPDATE, encode_client_update(update)
+            conn.send(Frame(msg_type, t, self.client_id, payload))

@@ -1,7 +1,11 @@
 import csv
 import json
+import socket
 import threading
 import time
+
+import numpy as np
+import pytest
 
 from fedmesh.cli import main
 
@@ -147,6 +151,85 @@ def test_server_aborts_at_once_when_a_participant_is_gone():
     assert outcome["seconds"] < 10
 
 
+def _free_port():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def _update_payload(samples, dim=9, tracked=(0.0, 0.0)):
+    """A CLIENT_UPDATE payload, unchecked, so it may break ClientUpdate's own rules."""
+    from fedmesh.federation import ClientUpdate
+    from fedmesh.privacy import NoiseReceipt
+    from fedmesh.transport import encode_client_update
+
+    receipt = NoiseReceipt(sigma=0.0, clip_applied=False, pre_clip_norm=0.0, mechanism="none")
+    update = ClientUpdate(0, 0, np.zeros(dim), 1, 1.0, 0.5, receipt, tracked_values=tracked)
+    update.sample_count = samples
+    return encode_client_update(update)
+
+
+# iid_baseline.cfg has 9 parameters and tracks 2 of them.
+MALFORMED_UPDATES = {
+    "empty": lambda samples: b"",
+    "zero_samples": lambda samples: _update_payload(0),
+    "wrong_dimension": lambda samples: _update_payload(samples, dim=1),
+    "wrong_tracked_count": lambda samples: _update_payload(samples, tracked=()),
+    "wrong_sample_count": lambda samples: _update_payload(samples + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_UPDATES))
+def test_serve_exits_2_on_a_malformed_update(tmp_path, capsys, name):
+    # The lone client sends a bad update in round 0: the server drops it, the
+    # retry finds it gone, and serve ends with one line and exit code 2.
+    from fedmesh.config import config_hash, load_config
+    from fedmesh.experiment import build_engine
+    from fedmesh.transport import Frame, FrameConnection, MessageType, encode_hello
+
+    overrides = ["domains.0.clients=1", "schedule.rounds=1", "transport.timeout_seconds=5"]
+    config = load_config("configs/iid_baseline.cfg", overrides=overrides)
+    samples = len(build_engine(config).clients[0].data)
+    port = _free_port()
+    outcome = {}
+
+    def serve():
+        outcome["code"] = main(
+            [
+                "serve", "--config", "configs/iid_baseline.cfg", "--out", str(tmp_path / "o"),
+                "--listen", f"127.0.0.1:{port}", *_override_flags(overrides),
+            ]
+        )
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            conn = FrameConnection(socket.create_connection(("127.0.0.1", port), timeout=5))
+            break
+        except ConnectionRefusedError:
+            assert time.monotonic() < deadline, "serve never listened"
+            time.sleep(0.05)
+    try:
+        conn.send(Frame(MessageType.HELLO, 0, 0, encode_hello(config_hash(config), samples)))
+        assert conn.recv().msg_type == MessageType.HELLO
+        assert conn.recv().msg_type == MessageType.GLOBAL_MODEL
+        conn.send(Frame(MessageType.CLIENT_UPDATE, 0, 0, MALFORMED_UPDATES[name](samples)))
+        assert conn.recv() is None  # dropped
+    finally:
+        conn.close()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert outcome["code"] == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("transport error: round 0 failed twice: client 0 dropped: malformed")
+
+
 def test_validate_prints_canonical_form(tmp_path, capsys):
     assert main(["validate", "--config", CONFIG]) == 0
     captured = capsys.readouterr()
@@ -202,15 +285,9 @@ def test_join_config_mismatch_exits_3():
 
 def test_join_network_failure_exits_2():
     # Nothing listens on this port; the CLI maps the socket error to exit 2.
-    import socket
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
     code = main(
         [
-            "join", "--config", CONFIG, "--server", f"127.0.0.1:{port}", "--client-id", "0",
+            "join", "--config", CONFIG, "--server", f"127.0.0.1:{_free_port()}", "--client-id", "0",
             "--override", "transport.timeout_seconds=2",
         ]
     )

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.config import config_hash, load_config
 from fedmesh.experiment import build_engine
@@ -27,6 +29,7 @@ from fedmesh.transport import (
     decode_masked_share,
     decode_notice,
     decode_params,
+    decode_round_summary,
     encode_client_update,
     encode_frame,
     encode_global_model,
@@ -194,6 +197,100 @@ def test_notice_round_trip():
     assert code == 2 and reason == "round failed"
 
 
+PAYLOAD_DECODERS = {
+    "hello": decode_hello,
+    "global_model": decode_global_model,
+    "client_update": lambda buf: decode_client_update(Frame(MessageType.CLIENT_UPDATE, 0, 0, buf)),
+    "masked_share": lambda buf: decode_masked_share(Frame(MessageType.MASKED_SHARE, 0, 0, buf)),
+    "round_summary": decode_round_summary,
+    "notice": decode_notice,
+}
+
+
+# Arbitrary bytes, or a well-formed vector followed by at least an update
+# metadata tail's worth (41 bytes) of arbitrary bytes, so the update
+# decoders get past the vector checks as often as not.
+_WIRE_BYTES = st.binary(max_size=200) | st.builds(
+    lambda dim, tail: encode_params(np.zeros(dim)) + tail,
+    st.integers(0, 3),
+    st.binary(min_size=41, max_size=120),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_DECODERS))
+@settings(max_examples=300, deadline=None)
+@given(buf=_WIRE_BYTES)
+def test_payload_decoders_raise_only_frame_error(name, buf):
+    try:
+        PAYLOAD_DECODERS[name](buf)
+    except FrameError:
+        pass
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _updates(draw):
+    gaussian = draw(st.booleans())
+    receipt = NoiseReceipt(
+        sigma=draw(st.floats(min_value=1e-12, max_value=1e12)) if gaussian else 0.0,
+        clip_applied=draw(st.booleans()),
+        pre_clip_norm=draw(st.floats(min_value=0, allow_infinity=False)),
+        mechanism="gaussian" if gaussian else "none",
+    )
+    return ClientUpdate(
+        client_id=draw(st.integers(0, 2**32 - 1)),
+        round_index=draw(st.integers(0, 2**32 - 1)),
+        delta=np.array(draw(st.lists(_finite, max_size=12)), dtype=np.float64),
+        sample_count=draw(st.integers(1, 2**32 - 1)),
+        loss_before=draw(st.floats(allow_nan=False)),
+        loss_after=draw(st.floats(allow_nan=False)),
+        receipt=receipt,
+        diverged=draw(st.booleans()),
+        tracked_values=tuple(draw(st.lists(_finite, max_size=6))),
+    )
+
+
+def _assert_same_metadata(out, update):
+    assert (out.client_id, out.round_index) == (update.client_id, update.round_index)
+    assert out.sample_count == update.sample_count
+    assert (out.loss_before, out.loss_after) == (update.loss_before, update.loss_after)
+    assert out.receipt == update.receipt
+    assert out.diverged == update.diverged
+    assert out.tracked_values == update.tracked_values
+
+
+@settings(max_examples=200, deadline=None)
+@given(update=_updates())
+def test_client_update_round_trip_property(update):
+    payload = encode_client_update(update)
+    out = decode_client_update(
+        Frame(MessageType.CLIENT_UPDATE, update.round_index, update.client_id, payload)
+    )
+    _assert_same_metadata(out, update)
+    # A flagged update travels as zeros, whatever its local delta was.
+    sent = np.zeros_like(update.delta) if update.diverged else update.delta
+    assert out.delta.tobytes() == sent.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(update=_updates(), words=st.lists(st.integers(0, 2**64 - 1), max_size=12))
+def test_masked_share_round_trip_property(update, words):
+    share = MaskedShare(update.client_id, update.round_index, np.array(words, dtype=np.uint64))
+    frame = Frame(
+        MessageType.MASKED_SHARE,
+        update.round_index,
+        update.client_id,
+        encode_masked_share(share, update),
+    )
+    out_share, out_update = decode_masked_share(frame)
+    assert out_share.masked_values.tolist() == words
+    assert (out_share.client_id, out_share.round_index) == (share.client_id, share.round_index)
+    _assert_same_metadata(out_update, update)
+    assert out_update.delta.tolist() == [0.0] * len(words)
+
+
 # -- sockets -------------------------------------------------------------------
 
 
@@ -225,6 +322,79 @@ def _run_federation(config, client_ids, client_config=None):
         t.join(60)
     server.close()
     return engine, errors
+
+
+def _serve_in_test_thread(config, silent=False):
+    """Serve ``config`` from this thread, one client thread per client id.
+
+    With ``silent``, a connection that never sends a byte is opened before
+    any client starts.  Returns the engine, the client errors and what
+    held right after registration: the thread count beyond the clients'
+    and whether the silent connection had been hung up on.
+    """
+    engine = build_engine(config)
+    server = FederationServer(engine, config_hash(config), port=0, timeout=10)
+    quiet = socket.create_connection(server.address, timeout=10) if silent else None
+    errors = []
+
+    def join(cid):
+        try:
+            FederationClient(
+                build_engine(config), cid, config_hash(config), server.address, timeout=10
+            ).run()
+        except Exception as exc:  # surfaced to the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=join, args=(cid,)) for cid in sorted(engine.clients)]
+    seen = {}
+    before = threading.active_count()
+    try:
+        for thread in threads:
+            thread.start()
+        server.wait_for_clients()
+        seen["extra_threads"] = threading.active_count() - before - len(threads)
+        if quiet is not None:
+            seen["silent_hung_up"] = quiet.recv(1) == b""
+        server.run()
+    finally:
+        server.close()
+        for thread in threads:
+            thread.join(60)
+        if quiet is not None:
+            quiet.close()
+    assert not any(thread.is_alive() for thread in threads)
+    return engine, errors, seen
+
+
+def test_silent_connection_does_not_stall_registration():
+    config = _config()
+    sim = build_engine(config)
+    sim.run()
+    engine, errors, seen = _serve_in_test_thread(config, silent=True)
+    assert errors == []
+    assert seen["silent_hung_up"]
+    assert np.array_equal(engine.params, sim.params)
+    assert engine.reports == sim.reports
+
+
+def test_sixteen_client_secure_loopback_is_single_threaded():
+    config = _config(
+        [
+            "secure_aggregation=true",
+            "schedule.rounds=2",
+            "domains.0.clients=6",
+            "domains.1.clients=5",
+            "domains.2.clients=5",
+        ]
+    )
+    sim = build_engine(config)
+    sim.run()
+    engine, errors, seen = _serve_in_test_thread(config)
+    assert errors == []
+    assert len(engine.clients) == 16
+    # The server reads every socket from its caller's thread.
+    assert seen["extra_threads"] == 0
+    assert np.array_equal(engine.params, sim.params)
 
 
 def test_socket_run_matches_simulate_bitwise():
