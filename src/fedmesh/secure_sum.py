@@ -13,7 +13,9 @@ bits): floats do not cancel exactly under masking, integers mod 2^64 do.
 Mask words come from a splitmix64 counter stream: for pair seed ``s`` and
 round ``r`` the key is ``mix64(s + GOLDEN*(r+1) mod 2^64)`` and word ``k``
 is ``mix64(key + (k+1)*GOLDEN mod 2^64)`` - a named, documented 64-bit
-generator with random access per coordinate.
+generator with random access per coordinate.  :func:`mask_words` is the
+per-pair spec; :func:`mask` draws all of a client's peer streams as one
+``(peers, dim)`` array and yields the same words.
 
 Dropout handling is deliberately strict: a round with any missing share
 aborts (:class:`SecureSumAbort`) and no partial sum is released.
@@ -144,19 +146,21 @@ def mask(
     """Mask an encoded share against every other participant.
 
     Pair masks are added toward higher-id peers and subtracted toward
-    lower-id peers, so they cancel in the participant-set sum.
+    lower-id peers, so they cancel in the participant-set sum.  Row ``p``
+    of the ``(peers, dim)`` block equals ``mask_words`` for peer ``p``; the
+    uint64 sums wrap mod 2^64, so their order does not matter.
     """
     encoded = np.asarray(encoded, dtype=np.uint64)
-    dim = encoded.shape[0]
-    masked = encoded.copy()
-    for peer in participants:
-        if peer == client_id:
-            continue
-        words = mask_words(seeds.seed_for(client_id, peer), round_index, dim)
-        if peer > client_id:
-            masked += words
-        else:
-            masked -= words
+    peers = [peer for peer in participants if peer != client_id]
+    offset = GOLDEN * (round_index + 1)
+    keys = mix64_array(
+        np.array([(seeds.seed_for(client_id, p) + offset) & MASK64 for p in peers], dtype=np.uint64)
+    )
+    counters = np.arange(1, encoded.shape[0] + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    words = mix64_array(keys[:, None] + counters)
+    higher = np.array([peer > client_id for peer in peers], dtype=bool)
+    masked = encoded + words[higher].sum(axis=0, dtype=np.uint64)
+    masked -= words[~higher].sum(axis=0, dtype=np.uint64)
     return MaskedShare(client_id=client_id, round_index=round_index, masked_values=masked)
 
 

@@ -712,9 +712,22 @@ class FederationClient:
                 log.warning("ignoring unexpected frame type %d", frame.msg_type)
                 continue
             params, coefficient, flags, participant_ids = decode_global_model(frame.payload)
+            t = frame.round_index
+            if params.shape != self.engine.params.shape:
+                raise TransportError(
+                    f"round {t}: global model has dim {params.shape[0]}, "
+                    f"expected {self.engine.params.shape[0]}"
+                )
             if not flags & FLAG_SELECTED:
                 continue
-            t = frame.round_index
+            unknown = sorted(set(participant_ids) - self.engine.clients.keys())
+            if unknown:
+                raise TransportError(f"round {t}: unknown participant ids {unknown}")
+            if participant_ids != sorted(set(participant_ids)) or self.client_id not in participant_ids:
+                raise TransportError(
+                    f"round {t}: participant list is not strictly increasing "
+                    f"or leaves out client {self.client_id}"
+                )
             self.engine.params = params
             self.engine.round_index = t
             update = self.engine.run_local(self.client_id, t)

@@ -294,6 +294,83 @@ def test_join_network_failure_exits_2():
     assert code == 2
 
 
+SECURE_BASELINE = ["secure_aggregation=true", "transport.timeout_seconds=5"]
+
+
+def _join_against_fake_server(params, participant_ids):
+    """Run ``join`` as client 0 against a server that acks HELLO, then sends
+    one selected secure GLOBAL_MODEL frame with ``params`` and ``participant_ids``."""
+    from fedmesh.config import config_hash, load_config
+    from fedmesh.transport import (
+        FLAG_SECURE,
+        FLAG_SELECTED,
+        Frame,
+        FrameConnection,
+        MessageType,
+        encode_global_model,
+        encode_hello,
+    )
+
+    config = load_config("configs/iid_baseline.cfg", overrides=SECURE_BASELINE)
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()[:2]
+    outcome = {}
+
+    def fake_server():
+        sock, _ = listener.accept()
+        conn = FrameConnection(sock)
+        try:
+            hello = conn.recv()
+            conn.send(Frame(MessageType.HELLO, 0, hello.client_id, encode_hello(config_hash(config), 4)))
+            payload = encode_global_model(params, 0.25, FLAG_SECURE | FLAG_SELECTED, participant_ids)
+            conn.send(Frame(MessageType.GLOBAL_MODEL, 0, hello.client_id, payload))
+            outcome["reply"] = conn.recv()
+        finally:
+            conn.close()
+
+    thread = threading.Thread(target=fake_server)
+    thread.start()
+    try:
+        code = main(
+            [
+                "join", "--config", "configs/iid_baseline.cfg", "--server", f"{host}:{port}",
+                "--client-id", "0", *_override_flags(SECURE_BASELINE),
+            ]
+        )
+    finally:
+        thread.join(30)
+        listener.close()
+    assert not thread.is_alive()
+    assert outcome["reply"] is None  # the client hung up without answering
+    return code
+
+
+def test_join_exits_2_on_a_wrong_dimension_model(capsys):
+    code = _join_against_fake_server(np.zeros(1), [0, 1, 2, 3])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["transport error: round 0: global model has dim 1, expected 9"]
+
+
+@pytest.mark.parametrize(
+    "participant_ids, reason",
+    [
+        ([0, 1, 99], "unknown participant ids [99]"),
+        ([1, 0, 2], "participant list is not strictly increasing or leaves out client 0"),
+        ([0, 0, 1], "participant list is not strictly increasing or leaves out client 0"),
+        ([1, 2, 3], "participant list is not strictly increasing or leaves out client 0"),
+    ],
+    ids=["unknown", "unsorted", "duplicate", "without_self"],
+)
+def test_join_exits_2_on_a_bad_participant_list(capsys, participant_ids, reason):
+    code = _join_against_fake_server(np.zeros(9), participant_ids)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [f"transport error: round 0: {reason}"]
+
+
 def test_baseline_writes_metrics(tmp_path):
     out = tmp_path / "base"
     code = main(["baseline", "--config", "configs/iid_baseline.cfg", "--out", str(out), *FAST])

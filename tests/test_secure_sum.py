@@ -12,6 +12,7 @@ from fedmesh.secure_sum import (
     mask_words,
     unmask_sum,
 )
+from fedmesh.rng import mix64, mix64_array
 
 CODEC = FixedPointCodec(scale_bits=24)
 
@@ -64,8 +65,11 @@ def test_mask_words_deterministic_and_round_dependent():
 def test_single_client_mask_is_identity():
     matrix = PairwiseSeedMatrix.from_root_seed(1, [0])
     encoded = CODEC.encode(np.array([1.5, -2.25]))
-    share = mask(encoded, 0, matrix, [0], round_index=0)
-    assert np.array_equal(share.masked_values, encoded)
+    for participants in ([0], []):
+        share = mask(encoded, 0, matrix, participants, round_index=0)
+        assert np.array_equal(share.masked_values, encoded)
+        # A copy, so the share does not change with the caller's array.
+        assert not np.shares_memory(share.masked_values, encoded)
 
 
 def test_two_client_masks_cancel():
@@ -164,3 +168,83 @@ def test_decoded_sum_matches_float_sum():
         decoded = unmask_sum(shares, CODEC, range(n))
         direct = np.sum(vectors, axis=0)
         assert np.max(np.abs(decoded - direct)) <= n * 2.0**-23
+
+
+# Masks cancel, so neither the sum nor the goldens see a change to the
+# splitmix64 stream; these words pin it.  Federations whose clients ran
+# different streams would unmask to garbage.
+def _hex(words):
+    return [f"{int(w):#018x}" for w in words]
+
+
+def test_mask_words_stream_is_pinned():
+    assert _hex(mask_words(123, 0, 4)) == [
+        "0xe050a2a38d8ef504",
+        "0x9868b9a34e3ee6bb",
+        "0x7c13a2e15b2c95f0",
+        "0x82287c22d9870651",
+    ]
+    assert _hex(mask_words(2**64 - 1, 2**32 - 1, 3)) == [
+        "0x723fd2d34e18928f",
+        "0x86da131866eb53be",
+        "0x3ab9bf7865075161",
+    ]
+
+
+def test_mask_share_is_pinned():
+    ids = [3, 7, 11, 40]
+    matrix = PairwiseSeedMatrix.from_root_seed(2024, ids)
+    encoded = CODEC.encode(np.array([1.5, -2.25, 0.0, 3.0]))
+    assert _hex(mask(encoded, 11, matrix, ids, 5).masked_values) == [
+        "0xcd3d26f90a40fc22",
+        "0x211abfb1d4da12ed",
+        "0x1b1d4d64d3ca2b3c",
+        "0x1ed5c085e86b2873",
+    ]
+
+
+def _reference_mask(encoded, client_id, matrix, participants, round_index):
+    """The per-pair definition: + mask_words toward higher ids, - toward lower."""
+    masked = np.array(encoded, dtype=np.uint64)
+    for peer in participants:
+        if peer == client_id:
+            continue
+        words = mask_words(matrix.seed_for(client_id, peer), round_index, len(masked))
+        masked = masked + words if peer > client_id else masked - words
+    return masked
+
+
+@given(
+    ids=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True),
+    root=st.integers(0, 2**64 - 1),
+    dim=st.integers(1, 64),
+    round_index=st.integers(0, 2**32 - 1),
+    include_self=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_mask_equals_per_pair_reference(ids, root, dim, round_index, include_self, data):
+    client_id = data.draw(st.sampled_from(ids))
+    participants = data.draw(st.permutations(ids))
+    if not include_self:
+        participants = [p for p in participants if p != client_id]
+    words = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=dim, max_size=dim))
+    encoded = np.array(words, dtype=np.uint64)
+    matrix = PairwiseSeedMatrix.from_root_seed(root, ids)
+    share = mask(encoded, client_id, matrix, participants, round_index)
+    expected = _reference_mask(encoded, client_id, matrix, participants, round_index)
+    assert share.masked_values.dtype == np.uint64
+    assert np.array_equal(share.masked_values, expected)
+
+
+def test_mask_aborts_on_a_missing_pair_seed():
+    matrix = PairwiseSeedMatrix.from_root_seed(8, [0, 1, 2])
+    with pytest.raises(SecureSumAbort, match=r"missing pair seed for clients \(1, 99\)"):
+        mask(CODEC.encode(np.ones(3)), 1, matrix, [0, 1, 2, 99], 0)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=32))
+@settings(max_examples=30, deadline=None)
+def test_mix64_array_matches_mix64(values):
+    mixed = mix64_array(np.array(values, dtype=np.uint64))
+    assert [int(w) for w in mixed] == [mix64(v) for v in values]
