@@ -262,15 +262,6 @@ def policy_coefficients(
     return {cid: w / total for cid, w in raw.items()}
 
 
-def aggregation_coefficients(
-    updates: list[ClientUpdate], policy: AggregationPolicy
-) -> dict[int, float]:
-    """Normalized convex-combination coefficients for non-flagged updates."""
-    return policy_coefficients(
-        policy, {u.client_id: u.sample_count for u in updates if not u.diverged}
-    )
-
-
 def _combined_delta(
     updates: list[ClientUpdate],
     coefficients: dict[int, float],

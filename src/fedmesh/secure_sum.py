@@ -1,7 +1,9 @@
 """Masked secure aggregation: the server learns only the sum of updates.
 
 Each pair of clients shares a 64-bit seed (a simulation stand-in for key
-agreement; see :class:`PairwiseSeedMatrix`).  Per round, client ``i`` adds
+agreement; see :class:`PairwiseSeedMatrix`).  The seeds form one table,
+derived in a vector pass, whose entry for ids ``a < b`` equals
+``derive_seed(root, "pair", a, b)``.  Per round, client ``i`` adds
 the pair's pseudorandom mask words for every peer ``j > i`` and subtracts
 them for every ``j < i``, all modulo 2^64.  Summing the masked shares
 cancels every mask exactly, so the modular sum equals the sum of the
@@ -24,7 +26,7 @@ aborts (:class:`SecureSumAbort`) and no partial sum is released.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,35 +99,43 @@ class PairwiseSeedMatrix:
 
     Stands in for pairwise key agreement: in this simulator the seeds are
     derived from the experiment root seed, and the aggregator simply never
-    consults them.  Accessors are symmetric: ``seed_for(i, j) == seed_for(j, i)``.
+    consults them.  The seeds form one dense, symmetric ``(N, N)`` uint64
+    table over the sorted client ids, derived in one vector pass; the entry
+    for ids ``a < b`` equals ``derive_seed(root, "pair", a, b)``.  Accessors
+    are symmetric: ``seed_for(i, j) == seed_for(j, i)``.
     """
 
-    def __init__(self, seeds: Mapping[tuple[int, int], int]):
-        canonical: dict[tuple[int, int], int] = {}
-        for (a, b), seed in seeds.items():
-            if a == b:
-                raise ValueError("pair seeds are defined only for distinct clients")
-            key = (min(a, b), max(a, b))
-            if key in canonical and canonical[key] != seed:
-                raise ValueError(f"conflicting seeds for pair {key}")
-            canonical[key] = int(seed) & MASK64
-        self._seeds = canonical
+    def __init__(self, ids: np.ndarray, table: np.ndarray):
+        self._ids = ids
+        self._table = table
 
     @classmethod
     def from_root_seed(cls, root_seed: int, client_ids: Iterable[int]) -> "PairwiseSeedMatrix":
-        ids = sorted(set(int(c) for c in client_ids))
-        seeds = {
-            (a, b): derive_seed(root_seed, "pair", a, b)
-            for pos, a in enumerate(ids)
-            for b in ids[pos + 1 :]
-        }
-        return cls(seeds)
+        ids = np.array(sorted(set(int(c) for c in client_ids)), dtype=np.uint64)
+        state = np.uint64(derive_seed(root_seed, "pair"))
+        for label in (ids[:, None], ids):  # derive_seed's fold of one integer label
+            state = mix64_array(mix64_array(state ^ label) + np.uint64(8))
+        upper = np.triu(state, 1)
+        return cls(ids, upper + upper.T)
+
+    def peer_seeds(self, a: int, peers: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Seeds of the pairs ``(a, p)`` for ``p`` in ``peers``, by one table
+        lookup, and whether each ``p`` is above ``a``.  An id outside the
+        table, or ``p == a``, aborts naming the first pair without a seed."""
+        query = np.asarray([a, *peers])
+        if self._ids.size and query.dtype.kind in "iu" and query.min() >= 0:
+            query = query.astype(np.uint64)
+            pos = np.minimum(np.searchsorted(self._ids, query), self._ids.size - 1)
+            if np.array_equal(self._ids[pos], query) and not np.any(pos[1:] == pos[0]):
+                return self._table[pos[0], pos[1:]], pos[1:] > pos[0]
+        known = set(self._ids.tolist())
+        for b in peers:
+            if a not in known or b not in known or a == b:
+                raise SecureSumAbort(f"missing pair seed for clients ({a}, {b})")
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
 
     def seed_for(self, a: int, b: int) -> int:
-        try:
-            return self._seeds[(min(a, b), max(a, b))]
-        except KeyError:
-            raise SecureSumAbort(f"missing pair seed for clients ({a}, {b})") from None
+        return int(self.peer_seeds(a, [b])[0][0])
 
 
 def mask_words(pair_seed: int, round_index: int, dim: int) -> np.ndarray:
@@ -151,14 +161,10 @@ def mask(
     uint64 sums wrap mod 2^64, so their order does not matter.
     """
     encoded = np.asarray(encoded, dtype=np.uint64)
-    peers = [peer for peer in participants if peer != client_id]
-    offset = GOLDEN * (round_index + 1)
-    keys = mix64_array(
-        np.array([(seeds.seed_for(client_id, p) + offset) & MASK64 for p in peers], dtype=np.uint64)
-    )
+    pair_seeds, higher = seeds.peer_seeds(client_id, [p for p in participants if p != client_id])
+    keys = mix64_array(pair_seeds + np.uint64(GOLDEN * (round_index + 1) & MASK64))
     counters = np.arange(1, encoded.shape[0] + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     words = mix64_array(keys[:, None] + counters)
-    higher = np.array([peer > client_id for peer in peers], dtype=bool)
     masked = encoded + words[higher].sum(axis=0, dtype=np.uint64)
     masked -= words[~higher].sum(axis=0, dtype=np.uint64)
     return MaskedShare(client_id=client_id, round_index=round_index, masked_values=masked)

@@ -24,8 +24,8 @@ from fedmesh.federation import (
     FederationEngine,
     TrainingSchedule,
     aggregate,
-    aggregation_coefficients,
     learning_rate_at,
+    policy_coefficients,
 )
 from fedmesh.model import ModelSpec, gradient, init_params, loss
 from fedmesh.outputs import write_run_artifacts
@@ -158,7 +158,9 @@ def test_criterion_3_aggregation_algebra():
         for subset in itertools.combinations(range(6), r):
             updates = [update(cid) for cid in subset]
             for name, policy in policies.items():
-                coeffs = aggregation_coefficients(updates, policy)
+                coeffs = policy_coefficients(
+                    policy, {u.client_id: u.sample_count for u in updates if not u.diverged}
+                )
                 values = np.array([coeffs[cid] for cid in subset])
                 assert np.all(values >= 0), (name, subset)
                 assert abs(values.sum() - 1.0) <= 1e-12, (name, subset)
@@ -170,8 +172,9 @@ def test_criterion_3_aggregation_algebra():
             scaled = AggregationPolicy(
                 "custom_weighted", weights={k: 7.3 * w for k, w in weights.items()}
             )
-            base_coeffs = aggregation_coefficients(updates, policies["custom_weighted"])
-            scaled_coeffs = aggregation_coefficients(updates, scaled)
+            counts = {u.client_id: u.sample_count for u in updates if not u.diverged}
+            base_coeffs = policy_coefficients(policies["custom_weighted"], counts)
+            scaled_coeffs = policy_coefficients(scaled, counts)
             for cid in subset:
                 assert scaled_coeffs[cid] == pytest.approx(base_coeffs[cid], abs=1e-12)
             subsets += 1

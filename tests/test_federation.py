@@ -13,11 +13,11 @@ from fedmesh.federation import (
     FederationEngine,
     TrainingSchedule,
     aggregate,
-    aggregation_coefficients,
     centralized_descent,
     derive_privacy_weights,
     learning_rate_at,
     local_train,
+    policy_coefficients,
 )
 from fedmesh.model import Dataset, ModelSpec, gradient, init_params, loss
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
@@ -176,7 +176,9 @@ def test_coefficients_convex_over_all_policies_and_subsets():
         for subset in itertools.combinations(range(6), r):
             updates = [_update(cid, rng.normal(0, 1, 4), samples=sizes[cid]) for cid in subset]
             for policy in policies:
-                coeffs = aggregation_coefficients(updates, policy)
+                coeffs = policy_coefficients(
+                    policy, {u.client_id: u.sample_count for u in updates if not u.diverged}
+                )
                 values = np.array([coeffs[cid] for cid in subset])
                 assert np.all(values >= 0)
                 assert abs(values.sum() - 1.0) <= 1e-12
@@ -196,11 +198,12 @@ def test_custom_weight_scaling_invariance():
     rng = np.random.default_rng(10)
     weights = {cid: float(rng.uniform(0.5, 2.0)) for cid in range(4)}
     updates = [_update(cid, rng.normal(0, 1, 3)) for cid in range(4)]
-    base = aggregation_coefficients(updates, AggregationPolicy("custom_weighted", weights=weights))
+    counts = {u.client_id: u.sample_count for u in updates if not u.diverged}
+    base = policy_coefficients(AggregationPolicy("custom_weighted", weights=weights), counts)
     for c in (0.25, 3.0, 1e6):
-        scaled = aggregation_coefficients(
-            updates,
+        scaled = policy_coefficients(
             AggregationPolicy("custom_weighted", weights={k: c * w for k, w in weights.items()}),
+            counts,
         )
         for cid in weights:
             assert scaled[cid] == pytest.approx(base[cid], abs=1e-12)

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmesh.secure_sum import (
@@ -12,7 +14,7 @@ from fedmesh.secure_sum import (
     mask_words,
     unmask_sum,
 )
-from fedmesh.rng import mix64, mix64_array
+from fedmesh.rng import derive_seed, mix64, mix64_array
 
 CODEC = FixedPointCodec(scale_bits=24)
 
@@ -248,3 +250,72 @@ def test_mask_aborts_on_a_missing_pair_seed():
 def test_mix64_array_matches_mix64(values):
     mixed = mix64_array(np.array(values, dtype=np.uint64))
     assert [int(w) for w in mixed] == [mix64(v) for v in values]
+
+
+@given(
+    root=st.integers(0, 2**64 - 1),
+    ids=st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 60), min_size=1, max_size=40),
+)
+@example(root=2**64 - 1, ids=[2**32 - 1, 9, 0, 9, 40, 3])
+@settings(max_examples=30, deadline=None)
+def test_seed_table_equals_derive_seed(root, ids):
+    matrix = PairwiseSeedMatrix.from_root_seed(root, ids)
+    distinct = sorted(set(ids))
+    for pos, a in enumerate(distinct):
+        with pytest.raises(SecureSumAbort):
+            matrix.seed_for(a, a)
+        for b in distinct[pos + 1 :]:
+            expected = derive_seed(root, "pair", a, b)
+            assert matrix.seed_for(a, b) == expected
+            assert matrix.seed_for(b, a) == expected
+
+
+def test_seed_for_is_pinned():
+    # Taken at the commit before the seeds became one table.  Masks cancel,
+    # so no sum or golden would notice a changed pair seed.
+    matrix = PairwiseSeedMatrix.from_root_seed(2024, [3, 7, 11, 40])
+    assert hex(matrix.seed_for(3, 40)) == "0x64b06879ff52f013"
+    assert hex(matrix.seed_for(7, 11)) == "0x16e386f67cb6f538"
+
+
+def test_large_seed_table_equals_derive_seed():
+    matrix = PairwiseSeedMatrix.from_root_seed(77, range(1024))
+    pairs = np.random.default_rng(5).choice(1024, size=(200, 2))
+    for a, b in pairs:
+        if a == b:
+            continue
+        low, high = int(min(a, b)), int(max(a, b))
+        assert matrix.seed_for(int(a), int(b)) == derive_seed(77, "pair", low, high)
+
+
+@pytest.mark.parametrize(
+    "client_id, participants, pair",
+    [
+        (5, [0, 1, 5], (5, 0)),  # the client is absent from the table
+        (1, [0, 1, 3, 2], (1, 3)),  # a peer is absent
+        (1, [0, 1, 2**40], (1, 2**40)),  # a peer id above the largest id
+        (1, [0, 1, 2**63], (1, 2**63)),  # a peer id that only fits uint64
+        (1, [0, 1, -1], (1, -1)),  # a negative peer id
+        (1, [0, -1, 2**64], (1, -1)),  # ids no 64-bit integer type holds
+    ],
+)
+def test_mask_aborts_on_an_unknown_id(client_id, participants, pair):
+    # Only SecureSumAbort may escape: never IndexError, OverflowError or KeyError.
+    matrix = PairwiseSeedMatrix.from_root_seed(8, [0, 1, 2])
+    message = re.escape(f"missing pair seed for clients {pair}")
+    with pytest.raises(SecureSumAbort, match=message):
+        mask(CODEC.encode(np.ones(3)), client_id, matrix, participants, 0)
+    with pytest.raises(SecureSumAbort, match=message):
+        matrix.seed_for(*pair)
+
+
+def test_negative_peer_does_not_wrap_to_the_top_id():
+    matrix = PairwiseSeedMatrix.from_root_seed(8, [0, 1, 2**64 - 1])
+    with pytest.raises(SecureSumAbort, match=r"missing pair seed for clients \(1, -1\)"):
+        mask(CODEC.encode(np.ones(3)), 1, matrix, [0, 1, -1], 0)
+
+
+def test_empty_seed_table_aborts():
+    matrix = PairwiseSeedMatrix.from_root_seed(8, [])
+    with pytest.raises(SecureSumAbort, match=r"missing pair seed for clients \(0, 1\)"):
+        mask(CODEC.encode(np.ones(3)), 0, matrix, [0, 1], 0)
