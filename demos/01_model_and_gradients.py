@@ -7,7 +7,7 @@ finite differences.
 
 import numpy as np
 
-from fedmesh import Dataset, ModelSpec, gradient, init_params, loss, param_dim, predict_class
+from fedmesh import Dataset, ModelSpec, gradient, init_params, loss, param_dim, predict_classes
 
 spec = ModelSpec(feature_dim=2, class_count=3)
 print(f"model: {spec.family}, parameter dim = {param_dim(spec)} (3 classes x (2 weights + bias))")
@@ -35,4 +35,4 @@ print(f"max relative gradient error vs finite differences: {err:.2e}")
 for step in range(500):
     theta = theta - 0.5 * gradient(spec, theta, data)
 print(f"gradient norm after 500 descent steps: {np.linalg.norm(gradient(spec, theta, data)):.2e}")
-print(f"prediction for a point near the class-0 region: {predict_class(spec, theta, data.features[0])}")
+print(f"prediction for a point near the class-0 region: {predict_classes(spec, theta, data.features[:1])[0]}")

@@ -21,7 +21,7 @@ from .federation import (
     derive_privacy_weights,
     local_train,
 )
-from .model import Dataset, ModelSpec, gradient, init_params, loss, param_dim, predict_class
+from .model import Dataset, ModelSpec, gradient, init_params, loss, param_dim, predict_classes
 from .privacy import NoiseReceipt, PrivacyBudget, add_noise, calibrate_sigma, clip, privatize
 from .secure_sum import FixedPointCodec, MaskedShare, PairwiseSeedMatrix, mask, unmask_sum
 
@@ -61,7 +61,7 @@ __all__ = [
     "metrics",
     "param_dim",
     "partition",
-    "predict_class",
+    "predict_classes",
     "privatize",
     "synthesize",
     "unmask_sum",

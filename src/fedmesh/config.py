@@ -127,7 +127,6 @@ class CsvDomainSource:
 class DomainConfig:
     tag: str
     recipe: DomainRecipe | None
-    recipe_name: str | None
     csv: CsvDomainSource | None
     train_samples: int
     eval_samples: int
@@ -270,7 +269,8 @@ _PRIVACY = _BUDGET + (_Field("client_overrides", dict, {}),)
 _TRANSPORT = (
     _Field("host", str, "127.0.0.1"),
     _Field("port", int, 7700, lambda v: 0 <= v < 65536, "must lie in [0, 65536)"),
-    _Field("timeout_seconds", float, 30.0, *_POSITIVE),
+    # The client's wait, timeout x (clients + 1), must stay within what select/settimeout accept.
+    _Field("timeout_seconds", float, 30.0, lambda v: 0 < v <= 86400, "must lie in (0, 86400]"),
 )
 
 
@@ -376,7 +376,6 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     domain = DomainConfig(
         tag=values["tag"],
         recipe=recipe,
-        recipe_name=recipe_raw if isinstance(recipe_raw, str) else None,
         csv=csv,
         train_samples=values.get("train_samples", 0),
         eval_samples=values.get("eval_samples", 0),

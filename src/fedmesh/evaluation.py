@@ -4,8 +4,7 @@ Metrics follow fixed zero-denominator conventions so results are
 deterministic: per-class precision is 0 when nothing was predicted as the
 class, recall is 0 when the class is absent, and F1 is 0 when
 precision + recall is 0.  Macro averages run over the classes present in
-the test set (row sum > 0); micro averaging is available but macro is the
-default.
+the test set (row sum > 0).
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ import numpy as np
 
 from .model import Dataset, ModelSpec, check_params, predict_classes
 from .privacy import NoiseReceipt
-
-AVERAGE_MACRO = "macro"
-AVERAGE_MICRO = "micro"
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -71,25 +66,19 @@ def confusion(spec: ModelSpec, params: np.ndarray, test: Dataset) -> np.ndarray:
     return counts
 
 
-def metrics(counts: np.ndarray, average: str = AVERAGE_MACRO) -> MetricsReport:
-    """Summarize a confusion matrix."""
+def metrics(counts: np.ndarray) -> MetricsReport:
+    """Summarize a confusion matrix with macro averages."""
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError("confusion matrix must be square")
     total = int(counts.sum())
     if total <= 0:
         raise ValueError("empty confusion matrix")
-    if average not in (AVERAGE_MACRO, AVERAGE_MICRO):
-        raise ValueError(f"unknown average {average!r}")
 
     diag = np.diag(counts).astype(np.float64)
     row_sums = counts.sum(axis=1).astype(np.float64)
     col_sums = counts.sum(axis=0).astype(np.float64)
     accuracy = float(diag.sum() / total)
-
-    if average == AVERAGE_MICRO:
-        # With single-label classification, micro precision = recall = accuracy.
-        return MetricsReport(accuracy, accuracy, accuracy, accuracy)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(col_sums > 0, diag / col_sums, 0.0)
@@ -105,9 +94,9 @@ def metrics(counts: np.ndarray, average: str = AVERAGE_MACRO) -> MetricsReport:
     )
 
 
-def evaluate(spec: ModelSpec, params: np.ndarray, test: Dataset, average: str = AVERAGE_MACRO) -> MetricsReport:
+def evaluate(spec: ModelSpec, params: np.ndarray, test: Dataset) -> MetricsReport:
     """Confusion + metrics in one step."""
-    return metrics(confusion(spec, params, test), average=average)
+    return metrics(confusion(spec, params, test))
 
 
 def trace_parameters(params: np.ndarray, indices) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .evaluation import (
     ClientRoundRecord,
-    MetricsReport,
     RoundReport,
     evaluate,
     trace_parameters,
@@ -356,8 +355,8 @@ class FederationEngine:
         *,
         secure_aggregation: bool = False,
         scale_bits: int = 24,
-        eval_sets: dict[str, Dataset] | None = None,
-        pooled_test: Dataset | None = None,
+        eval_sets: dict[str, Dataset],
+        pooled_test: Dataset,
         tracked_indices: tuple[int, ...] = (),
     ):
         if not clients:
@@ -380,7 +379,7 @@ class FederationEngine:
         self.run_seed = run_seed
         self.secure_aggregation = secure_aggregation
         self.codec = FixedPointCodec(scale_bits)
-        self.eval_sets = dict(eval_sets or {})
+        self.eval_sets = dict(eval_sets)
         self.pooled_test = pooled_test
         self.tracked_indices = tuple(int(i) for i in tracked_indices)
         self.params = init_params(spec)
@@ -505,12 +504,8 @@ class FederationEngine:
             tag: loss(self.spec, self.params, dataset)
             for tag, dataset in sorted(self.eval_sets.items())
         }
-        if self.pooled_test is not None:
-            global_loss = loss(self.spec, self.params, self.pooled_test)
-            global_metrics = evaluate(self.spec, self.params, self.pooled_test)
-        else:
-            global_loss = float("nan")
-            global_metrics = MetricsReport(*(float("nan"),) * 4)
+        global_loss = loss(self.spec, self.params, self.pooled_test)
+        global_metrics = evaluate(self.spec, self.params, self.pooled_test)
 
         by_update = {u.client_id: u for u in inputs.updates}
         tracked: dict[str, tuple[float, ...]] = {}
@@ -534,39 +529,23 @@ class FederationEngine:
         records = []
         for cid, client in self.clients.items():
             budget = client.budget
-            epsilon = budget.epsilon if budget.enabled else None
-            delta = budget.delta if budget.enabled else None
             update = by_update.get(cid)
-            if update is None:
-                records.append(
-                    ClientRoundRecord(
-                        client_id=cid,
-                        domain_tag=client.domain_tag,
-                        participated=False,
-                        diverged=False,
-                        sample_count=len(client.data),
-                        loss_before=float("nan"),
-                        loss_after=float("nan"),
-                        receipt=None,
-                        epsilon=epsilon,
-                        delta=delta,
-                    )
+            joined = update is not None
+            records.append(
+                ClientRoundRecord(
+                    client_id=cid,
+                    domain_tag=client.domain_tag,
+                    participated=joined,
+                    diverged=joined and update.diverged,
+                    # _collect refuses an update whose count differs from the shard.
+                    sample_count=len(client.data),
+                    loss_before=update.loss_before if joined else float("nan"),
+                    loss_after=update.loss_after if joined else float("nan"),
+                    receipt=update.receipt if joined else None,
+                    epsilon=budget.epsilon if budget.enabled else None,
+                    delta=budget.delta if budget.enabled else None,
                 )
-            else:
-                records.append(
-                    ClientRoundRecord(
-                        client_id=cid,
-                        domain_tag=client.domain_tag,
-                        participated=True,
-                        diverged=update.diverged,
-                        sample_count=update.sample_count,
-                        loss_before=update.loss_before,
-                        loss_after=update.loss_after,
-                        receipt=update.receipt,
-                        epsilon=epsilon,
-                        delta=delta,
-                    )
-                )
+            )
         return RoundReport(
             round_index=inputs.round_index,
             domain_losses=domain_losses,

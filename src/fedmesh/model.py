@@ -111,23 +111,8 @@ def batch_logits(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> n
     return features @ weights.T + bias
 
 
-def predict_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-class logits ``w_k . x + b_k`` for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.feature_dim,):
-        raise ValueError(f"feature vector has shape {x.shape}, expected ({spec.feature_dim},)")
-    params = check_params(spec, params)
-    weights, bias = unpack(spec, params)
-    return weights @ x + bias
-
-
-def predict_class(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest class index."""
-    return int(np.argmax(predict_logits(spec, params, x)))
-
-
 def predict_classes(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`predict_class` over a feature matrix."""
+    """Argmax class per row of a feature matrix; ties resolve to the lowest class index."""
     return np.argmax(batch_logits(spec, params, features), axis=1)
 
 

@@ -56,91 +56,61 @@ def prepare_output_dir(path: str, force: bool = False) -> Path:
     return out
 
 
-def write_loss_curves(path: Path, reports: list[RoundReport]) -> None:
+def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
+    """One CSV artifact: a header row, then ``rows`` as given."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["round", "domain", "loss"])
-        for report in reports:
-            for domain, value in sorted(report.domain_losses.items()):
-                writer.writerow([report.round_index, domain, _fmt(value)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_param_trace(path: Path, reports: list[RoundReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["round", "domain_eval_tag", "index", "value"])
-        for report in reports:
-            for tag, values in sorted(report.tracked.items()):
-                for index, value in enumerate(values):
-                    writer.writerow([report.round_index, tag, index, _fmt(value)])
+def _loss_rows(reports: list[RoundReport]):
+    for report in reports:
+        for domain, value in sorted(report.domain_losses.items()):
+            yield report.round_index, domain, _fmt(value)
 
 
-def _write_metric_rows(path: Path, rows: list[tuple[int, MetricsReport]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["round", "accuracy", "precision", "recall", "f1"])
-        for round_index, report in rows:
-            writer.writerow(
-                [
-                    round_index,
-                    _fmt(report.accuracy),
-                    _fmt(report.precision),
-                    _fmt(report.recall),
-                    _fmt(report.f1),
-                ]
-            )
+def _trace_rows(reports: list[RoundReport]):
+    for report in reports:
+        for tag, values in sorted(report.tracked.items()):
+            for index, value in enumerate(values):
+                yield report.round_index, tag, index, _fmt(value)
 
 
-def write_metrics(path: Path, reports: list[RoundReport]) -> None:
-    _write_metric_rows(path, [(r.round_index, r.global_metrics) for r in reports])
+def _metric_rows(rows):
+    for round_index, m in rows:
+        yield round_index, _fmt(m.accuracy), _fmt(m.precision), _fmt(m.recall), _fmt(m.f1)
+
+
+def _client_rows(reports: list[RoundReport]):
+    for report in reports:
+        for c in report.clients:
+            budget = ["" if v is None else _fmt(v) for v in (c.epsilon, c.delta)]
+            r = c.receipt
+            noise = [r.mechanism, _fmt(r.sigma), int(r.clip_applied), _fmt(r.pre_clip_norm)] if r else [""] * 4
+            yield [
+                report.round_index, c.client_id, c.domain_tag, int(c.participated), int(c.diverged),
+                c.sample_count, _fmt(c.loss_before), _fmt(c.loss_after), *budget, *noise,
+            ]
+
+
+_METRIC_HEADER = ("round", "accuracy", "precision", "recall", "f1")
+_CLIENT_HEADER = (
+    "round", "client_id", "domain", "participated", "diverged", "sample_count", "loss_before",
+    "loss_after", "epsilon", "delta", "mechanism", "sigma", "clip_applied", "pre_clip_norm",
+)
+
+# (file name, header, rows from the round reports) per run artifact, in write order.
+_RUN_TABLES = (
+    (LOSS_CURVES, ("round", "domain", "loss"), _loss_rows),
+    (PARAM_TRACE, ("round", "domain_eval_tag", "index", "value"), _trace_rows),
+    (METRICS, _METRIC_HEADER, lambda reports: _metric_rows((r.round_index, r.global_metrics) for r in reports)),
+    (CLIENTS, _CLIENT_HEADER, _client_rows),
+)
 
 
 def write_baseline_metrics(path: Path, rows: list[tuple[int, MetricsReport]]) -> None:
-    _write_metric_rows(path, rows)
-
-
-def write_clients(path: Path, reports: list[RoundReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "round",
-                "client_id",
-                "domain",
-                "participated",
-                "diverged",
-                "sample_count",
-                "loss_before",
-                "loss_after",
-                "epsilon",
-                "delta",
-                "mechanism",
-                "sigma",
-                "clip_applied",
-                "pre_clip_norm",
-            ]
-        )
-        for report in reports:
-            for record in report.clients:
-                receipt = record.receipt
-                writer.writerow(
-                    [
-                        report.round_index,
-                        record.client_id,
-                        record.domain_tag,
-                        int(record.participated),
-                        int(record.diverged),
-                        record.sample_count,
-                        _fmt(record.loss_before),
-                        _fmt(record.loss_after),
-                        _fmt(record.epsilon) if record.epsilon is not None else "",
-                        _fmt(record.delta) if record.delta is not None else "",
-                        receipt.mechanism if receipt else "",
-                        _fmt(receipt.sigma) if receipt else "",
-                        int(receipt.clip_applied) if receipt else "",
-                        _fmt(receipt.pre_clip_norm) if receipt else "",
-                    ]
-                )
+    _write_table(path, _METRIC_HEADER, _metric_rows(rows))
 
 
 def _sha256_file(path: Path) -> str:
@@ -186,10 +156,8 @@ def write_run_artifacts(
     started_at: datetime,
 ) -> list[str]:
     """Emit every per-round CSV plus the manifest; returns the file names."""
-    write_loss_curves(out_dir / LOSS_CURVES, reports)
-    write_param_trace(out_dir / PARAM_TRACE, reports)
-    write_metrics(out_dir / METRICS, reports)
-    write_clients(out_dir / CLIENTS, reports)
-    names = [LOSS_CURVES, PARAM_TRACE, METRICS, CLIENTS]
+    for name, header, rows in _RUN_TABLES:
+        _write_table(out_dir / name, header, rows(reports))
+    names = [name for name, _, _ in _RUN_TABLES]
     write_manifest(out_dir, config, names, started_at)
     return names + [MANIFEST]

@@ -10,6 +10,8 @@ Conventions, stated rather than hidden:
   released, clipped update), not ``2C``.
 * The calibration is valid for ``epsilon <= 1``; larger budgets are
   accepted with a logged warning.
+* A budget is refused unless epsilon and ``C`` are finite and the
+  resulting sigma is finite and > 0.
 * No accounting across rounds: the per-round (epsilon, delta) is reported
   as-is in round reports.
 
@@ -46,12 +48,15 @@ class PrivacyBudget:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.clip_norm > 0:
-            raise ValueError("clip_norm must be > 0")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and > 0")
+        sigma = _gaussian_sigma(self)
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"noise scale sigma={sigma!r} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,10 @@ def clip(values: np.ndarray, clip_norm: float) -> tuple[np.ndarray, bool, float]
     return values * (clip_norm / norm), True, norm
 
 
+def _gaussian_sigma(budget: PrivacyBudget) -> float:
+    return budget.clip_norm * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
+
+
 def calibrate_sigma(budget: PrivacyBudget) -> float:
     """Gaussian-mechanism noise scale for the budget: C*sqrt(2 ln(1.25/delta))/eps."""
     if not budget.enabled:
@@ -98,7 +107,7 @@ def calibrate_sigma(budget: PrivacyBudget) -> float:
             "only guaranteed for epsilon <= 1",
             budget.epsilon,
         )
-    return budget.clip_norm * math.sqrt(2.0 * math.log(1.25 / budget.delta)) / budget.epsilon
+    return _gaussian_sigma(budget)
 
 
 def add_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:

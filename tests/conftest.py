@@ -1,6 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fedmesh.model import Dataset, ModelSpec, param_dim
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args, cwd, timeout=60):
+    """Run ``python ARGS`` in a fresh interpreter that imports fedmesh from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture

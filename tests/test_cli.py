@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import ROOT, run_python
 from fedmesh.cli import main
 
 CONFIG = "configs/three_domains.cfg"
@@ -292,6 +293,34 @@ def test_join_network_failure_exits_2():
         ]
     )
     assert code == 2
+
+
+# Budgets whose noise scale comes out 0 or infinite, and waits longer than
+# select and settimeout accept: each must be a one-line config error.
+OUT_OF_RANGE = [
+    ("simulate", "privacy.epsilon=Infinity"),
+    ("simulate", "privacy.epsilon=1e-320"),
+    ("simulate", "privacy.delta=1e-320"),
+    ("simulate", "privacy.clip_norm=1e308"),
+    ("serve", "transport.timeout_seconds=3e6"),
+    ("join", "transport.timeout_seconds=1e10"),
+]
+
+
+@pytest.mark.parametrize("command,override", OUT_OF_RANGE)
+def test_out_of_range_settings_exit_1_in_one_line(tmp_path, command, override):
+    where = {
+        "simulate": ["--out", str(tmp_path / "o")],
+        "serve": ["--out", str(tmp_path / "o"), "--listen", "127.0.0.1:0"],
+        "join": ["--server", f"127.0.0.1:{_free_port()}", "--client-id", "0"],
+    }[command]
+    flags = _override_flags(["privacy.enabled=true", override])
+    result = run_python(["-m", "fedmesh.cli", command, "--config", CONFIG, *where, *flags], cwd=ROOT)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {override.split('.')[0]}")
 
 
 SECURE_BASELINE = ["secure_aggregation=true", "transport.timeout_seconds=5"]

@@ -66,12 +66,6 @@ def test_metrics_zero_denominator_conventions():
     assert report.f1 == pytest.approx((0.75 + 0.0) / 2)
 
 
-def test_metrics_micro_average_equals_accuracy():
-    cm = np.array([[5, 5], [0, 10]])
-    report = metrics(cm, average="micro")
-    assert report.precision == report.recall == report.f1 == report.accuracy == 0.75
-
-
 def test_metrics_pure():
     cm = np.array([[3, 1], [2, 4]])
     assert metrics(cm) == metrics(cm)

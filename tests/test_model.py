@@ -6,12 +6,12 @@ import pytest
 from fedmesh.model import (
     Dataset,
     ModelSpec,
+    batch_logits,
     gradient,
     init_params,
     loss,
     param_dim,
-    predict_class,
-    predict_logits,
+    predict_classes,
 )
 
 from conftest import random_instance
@@ -25,17 +25,17 @@ def test_param_dim(d, k, expected):
 
 
 def test_zero_params_give_zero_logits(spec):
-    logits = predict_logits(spec, init_params(spec), np.array([1.5, -2.0]))
-    assert np.array_equal(logits, np.zeros(3))
+    logits = batch_logits(spec, init_params(spec), np.array([[1.5, -2.0]]))
+    assert np.array_equal(logits, np.zeros((1, 3)))
 
 
 def test_logits_single_feature_two_classes():
     spec = ModelSpec(feature_dim=1, class_count=2)
     # class 0: w=1, b=0; class 1: w=-1, b=0
     params = np.array([1.0, 0.0, -1.0, 0.0])
-    logits = predict_logits(spec, params, np.array([2.0]))
-    assert np.array_equal(logits, np.array([2.0, -2.0]))
-    assert predict_class(spec, params, np.array([2.0])) == 0
+    logits = batch_logits(spec, params, np.array([[2.0]]))
+    assert np.array_equal(logits, np.array([[2.0, -2.0]]))
+    assert predict_classes(spec, params, np.array([[2.0]]))[0] == 0
 
 
 def test_logits_match_dense_oracle():
@@ -43,7 +43,7 @@ def test_logits_match_dense_oracle():
     for _ in range(50):
         spec, params, _ = random_instance(rng)
         x = rng.normal(0, 1, spec.feature_dim)
-        logits = predict_logits(spec, params, x)
+        logits = batch_logits(spec, params, x[None, :])[0]
         # Brute-force dot products, coordinate by coordinate.
         expected = np.empty(spec.class_count)
         for k in range(spec.class_count):
@@ -56,7 +56,7 @@ def test_logits_match_dense_oracle():
 
 
 def test_predict_class_tie_breaks_to_lowest(spec):
-    assert predict_class(spec, init_params(spec), np.array([0.3, 0.3])) == 0
+    assert predict_classes(spec, init_params(spec), np.array([[0.3, 0.3]]))[0] == 0
 
 
 def test_argmax_examples():
@@ -71,7 +71,8 @@ def test_predict_class_invariant_to_logit_shift():
         x = rng.normal(0, 1, spec.feature_dim)
         shifted = params.copy().reshape(spec.class_count, spec.feature_dim + 1)
         shifted[:, spec.feature_dim] += 5.3  # same constant on every bias
-        assert predict_class(spec, params, x) == predict_class(spec, shifted.ravel(), x)
+        row = x[None, :]
+        assert predict_classes(spec, params, row)[0] == predict_classes(spec, shifted.ravel(), row)[0]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
@@ -158,8 +159,6 @@ def test_loss_is_convex_along_segments():
 
 
 def test_dimension_mismatch_errors(spec):
-    with pytest.raises(ValueError):
-        predict_logits(spec, init_params(spec), np.zeros(5))
     with pytest.raises(ValueError):
         loss(spec, np.zeros(4), Dataset(np.zeros((2, 2)), np.array([0, 1]), 3))
 

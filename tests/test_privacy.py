@@ -89,6 +89,28 @@ def test_budget_validation():
         PrivacyBudget(clip_norm=-1.0)
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"epsilon": math.inf},
+        {"epsilon": math.nan},
+        {"clip_norm": math.inf},
+        {"epsilon": 1e-320},  # sigma overflows
+        {"delta": 1e-320},  # ln(1.25/delta) overflows
+        {"clip_norm": 1e308},  # sigma overflows
+        {"clip_norm": 5e-324, "epsilon": 1e6},  # sigma underflows to 0
+    ],
+)
+def test_budget_rejects_a_sigma_that_is_not_finite_and_positive(budget):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        PrivacyBudget(**budget)
+
+
+def test_budget_construction_logs_nothing(caplog):
+    PrivacyBudget(epsilon=987.0)
+    assert caplog.records == []
+
+
 def test_add_noise_zero_sigma_is_bitwise_identity():
     vector = np.array([0.1, -2.5, 3.75])
     assert add_noise(vector, 0.0, seed=4) is vector
