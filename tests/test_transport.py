@@ -37,6 +37,7 @@ from fedmesh.transport import (
     encode_masked_share,
     encode_notice,
     encode_params,
+    encode_round_summary,
 )
 
 BASE_OVERRIDES = ["schedule.rounds=3", "transport.timeout_seconds=10"]
@@ -138,6 +139,64 @@ def test_decoder_fuzz_never_crashes():
 
 
 # -- message payloads ----------------------------------------------------------
+
+
+# One whole frame of each message type, hex taken before the payload codecs
+# were rebuilt on one layout table; the FDM1 bytes must never drift.
+FRAME_PINS = {
+    MessageType.HELLO: (
+        "46444d310100000000000000040000002501000102030405060708090a0b0c0d"
+        "0e0f101112131415161718191a1b1c1d1e1f000000f0"
+    ),
+    MessageType.GLOBAL_MODEL: (
+        "46444d3102000000090000000400000029000000023ff0000000000000c00000"
+        "00000000003fd000000000000003000000020000000100000004"
+    ),
+    MessageType.CLIENT_UPDATE: (
+        "46444d3103000000090000000400000045000000023fe0000000000000bff400"
+        "00000000003ff40000000000003fe8000000000000000000f00001013fe00000"
+        "00000000400400000000000000013fb999999999999a"
+    ),
+    MessageType.MASKED_SHARE: (
+        "46444d3104000000090000000400000045000000020000000000000001ffffff"
+        "ffffffffff3ff40000000000003fe8000000000000000000f00001013fe00000"
+        "00000000400400000000000000013fb999999999999a"
+    ),
+    MessageType.ROUND_REPORT: (
+        "46444d31050000000900000004000000103fe00000000000003fec0000000000"
+        "00"
+    ),
+    MessageType.ABORT: "46444d31060000000900000004000000080100057265747279",
+    MessageType.BYE: "46444d310700000000000000040000000f00000c72756e20636f6d706c657465",
+}
+
+
+def test_frame_bytes_are_pinned():
+    update = ClientUpdate(
+        client_id=4,
+        round_index=9,
+        delta=np.array([0.5, -1.25]),
+        sample_count=240,
+        loss_before=1.25,
+        loss_after=0.75,
+        receipt=NoiseReceipt(sigma=0.5, clip_applied=True, pre_clip_norm=2.5, mechanism="gaussian"),
+        tracked_values=(0.1,),
+    )
+    share = MaskedShare(4, 9, np.array([1, 2**64 - 1], dtype=np.uint64))
+    payloads = {
+        MessageType.HELLO: encode_hello(bytes(range(32)), 240),
+        MessageType.GLOBAL_MODEL: encode_global_model(np.array([1.0, -2.0]), 0.25, 0b011, [1, 4]),
+        MessageType.CLIENT_UPDATE: encode_client_update(update),
+        MessageType.MASKED_SHARE: encode_masked_share(share, update),
+        MessageType.ROUND_REPORT: encode_round_summary(0.5, 0.875),
+        MessageType.ABORT: encode_notice(1, "retry"),
+        MessageType.BYE: encode_notice(0, "run complete"),
+    }
+    assert set(payloads) == set(MessageType)
+    for msg_type, payload in payloads.items():
+        round_index = 0 if msg_type in (MessageType.HELLO, MessageType.BYE) else 9
+        frame = Frame(msg_type, round_index, 4, payload)
+        assert encode_frame(frame).hex() == FRAME_PINS[msg_type], msg_type.name
 
 
 def test_hello_round_trip():
