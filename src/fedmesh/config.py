@@ -203,7 +203,8 @@ _ROOT = (
     _Field("privacy", dict, {}),
     _Field("secure_aggregation", bool, False),
     _Field("fixed_point_scale_bits", int, 24, lambda v: 1 <= v <= 52, "must lie in [1, 52]"),
-    _Field("tracked_indices", list, []),
+    # The wire counts a client's tracked values in a u16.
+    _Field("tracked_indices", list, [], lambda v: len(v) <= 65535, "must hold <= 65535 entries"),
     _Field("transport", dict, {}),
     _Field("output_dir", str, "fedmesh-output"),
 )

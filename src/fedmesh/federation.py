@@ -447,25 +447,18 @@ class FederationEngine:
             update.round_index,
         )
 
-    def collect_shares(self, inputs: RoundInputs) -> list[MaskedShare]:
-        """In-process share collection; the socket server replaces this step."""
-        return [
-            self.masked_share_for(u, inputs.coefficients[u.client_id], inputs.participant_ids)
-            for u in inputs.updates
-        ]
-
     def complete_round(self, inputs: RoundInputs) -> RoundReport:
         """Aggregate, advance the global model, evaluate, and record."""
         if inputs.round_index != self.round_index:
             raise FederationAbort(
                 f"round mismatch: inputs for {inputs.round_index}, engine at {self.round_index}"
             )
-        summed = None
-        if self.secure_aggregation:
-            summed = unmask_sum(inputs.shares, self.codec, inputs.participant_ids)
         try:
+            summed = None
+            if self.secure_aggregation:
+                summed = unmask_sum(inputs.shares, self.codec, inputs.participant_ids)
             step = _combined_delta(inputs.updates, inputs.coefficients, summed)
-        except ValueError as exc:
+        except (SecureSumAbort, ValueError) as exc:
             raise FederationAbort(f"round {inputs.round_index}: {exc}") from exc
         self.params = self.params + step
         report = self._build_report(inputs)
@@ -474,23 +467,16 @@ class FederationEngine:
         return report
 
     def run_round(self) -> RoundReport:
-        """One full in-process round, with the single-retry abort policy."""
+        """One full in-process round."""
         inputs = self.begin_round(self.round_index)
-        t = inputs.round_index
-        inputs.updates = [self.run_local(cid, t) for cid in inputs.participant_ids]
-        if not self.secure_aggregation:
-            return self.complete_round(inputs)
-        last_error: SecureSumAbort | None = None
-        for attempt in (1, 2):
-            try:
-                inputs.shares = self.collect_shares(inputs)
-                return self.complete_round(inputs)
-            except SecureSumAbort as exc:
-                last_error = exc
-                log.warning("round %d attempt %d aborted: %s", t, attempt, exc)
-        raise FederationAbort(
-            f"round {t} failed twice with the same participant set: {last_error}"
-        ) from last_error
+        t, pids = inputs.round_index, inputs.participant_ids
+        inputs.updates = [self.run_local(cid, t) for cid in pids]
+        if self.secure_aggregation:
+            inputs.shares = [
+                self.masked_share_for(u, inputs.coefficients[u.client_id], pids)
+                for u in inputs.updates
+            ]
+        return self.complete_round(inputs)
 
     def run(self) -> list[RoundReport]:
         for _ in range(self.schedule.rounds):

@@ -9,27 +9,23 @@ Frame layout (all multi-byte integers big-endian)::
     payload_len 4 bytes unsigned, <= 64 MiB
     payload    payload_len bytes
 
-Parameter vectors are serialized as a 4-byte big-endian dimension followed
-by that many IEEE-754 binary64 values, big-endian, so a vector survives
-the wire bit for bit.
+``LAYOUTS`` gives each payload in wire order: fixed big-endian ``struct``
+fields, and counted arrays (a u32 or u16 count, then that many big-endian
+elements).  A payload must fill its frame exactly; a short one and one
+with trailing bytes are both refused.  Floats are IEEE-754 binary64, so
+a parameter vector survives the wire bit for bit.  What the fields mean:
 
-Message payloads:
-
-* HELLO: version u8, config hash 32 bytes, count u32 (client: its sample
-  count; server ack: expected client count).
-* GLOBAL_MODEL: params, coefficient f64 (this client's aggregation weight,
-  meaningful only under secure aggregation), flags u8 (bit0 selected,
-  bit1 secure, bit2 retry), participant count u32 + that many u32 ids.
-* CLIENT_UPDATE: delta params, then the metadata tail (below).
-* MASKED_SHARE: dim u32 + dim u64 masked words, then the metadata tail.
-* ROUND_REPORT: global loss f64, accuracy f64 (server -> client notice).
-* ABORT: code u8 (1 retry round, 2 fatal), reason length u16 + UTF-8.
-* BYE: code u8 (0 normal, 3 config mismatch), reason length u16 + UTF-8.
-
-Metadata tail (shared by CLIENT_UPDATE and MASKED_SHARE): loss_before f64,
-loss_after f64, sample_count u32, diverged u8, mechanism u8 (0 none,
-1 gaussian), clip_applied u8, sigma f64, pre_clip_norm f64, tracked count
-u16 + that many f64 tracked local coordinates.
+* HELLO: version, config hash, count (client: its sample count; server
+  ack: expected client count).
+* GLOBAL_MODEL: params, coefficient (this client's aggregation weight,
+  meaningful only under secure aggregation), flags (bit0 selected, bit1
+  secure, bit2 retry), participant ids.
+* CLIENT_UPDATE and MASKED_SHARE: the delta params or the masked words,
+  then loss_before, loss_after, sample_count, diverged, mechanism (0 none,
+  1 gaussian), clip_applied, sigma, pre_clip_norm, tracked local values.
+* ROUND_REPORT: global loss, accuracy (server -> client notice).
+* ABORT (code 1 retry round, 2 fatal) and BYE (0 normal, 3 config
+  mismatch): code, UTF-8 reason.
 
 The server is a single round-state machine (broadcast -> collect ->
 aggregate) in its caller's thread; one ``selectors`` loop does all its
@@ -47,6 +43,7 @@ import struct
 import time
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,116 +145,129 @@ class FrameDecoder:
 # -- payload codecs ---------------------------------------------------------
 
 
-def encode_params(values: np.ndarray) -> bytes:
-    """4-byte big-endian dim, then dim big-endian binary64 values."""
+class _Part(NamedTuple):
+    """Fixed fields (``dtype`` None), or an element count and then that many ``dtype``."""
+
+    head: struct.Struct
+    dtype: np.dtype | None
+
+
+def _part(head: str, dtype: str | None = None) -> _Part:
+    return _Part(struct.Struct(">" + head), None if dtype is None else np.dtype(dtype))
+
+
+_PARAMS = _part("I", ">f8")
+_UPDATE_TAIL = (_part("ddIBBBdd"), _part("H", ">f8"))
+_NOTICE = (_part("B"), _part("H", "u1"))
+
+# Each payload's parts in wire order; _pack and _unpack read nothing else.
+LAYOUTS = {
+    MessageType.HELLO: (_part("B32sI"),),
+    MessageType.GLOBAL_MODEL: (_PARAMS, _part("dB"), _part("I", ">u4")),
+    MessageType.CLIENT_UPDATE: (_PARAMS, *_UPDATE_TAIL),
+    MessageType.MASKED_SHARE: (_part("I", ">u8"), *_UPDATE_TAIL),
+    MessageType.ROUND_REPORT: (_part("dd"),),
+    MessageType.ABORT: _NOTICE,
+    MessageType.BYE: _NOTICE,
+}
+
+
+def _pack(layout: tuple[_Part, ...], parts) -> bytes:
+    """A tuple of values per fixed part and a sequence per array, in layout order."""
+    chunks = []
+    try:
+        for (head, dtype), value in zip(layout, parts, strict=True):
+            if dtype is None:
+                chunks.append(head.pack(*value))
+                continue
+            wire = np.asarray(value, dtype=dtype)
+            if dtype.kind == "u" and not np.array_equal(wire, value):
+                raise FrameError(f"array elements outside {dtype.name}")
+            chunks += [head.pack(len(wire)), wire.tobytes()]
+    except (struct.error, OverflowError, ValueError) as exc:
+        raise FrameError(f"unencodable payload: {exc}") from None
+    return b"".join(chunks)
+
+
+def _unpack(layout: tuple[_Part, ...], buf: bytes) -> list:
+    """Inverse of :func:`_pack`, arrays native-endian; ``buf`` must fill the layout exactly."""
+    parts, offset = [], 0
+    for head, dtype in layout:
+        end = offset + head.size
+        if len(buf) >= end:
+            fields = head.unpack_from(buf, offset)
+            if dtype is not None:
+                offset, end = end, end + fields[0] * dtype.itemsize
+        if len(buf) < end:
+            raise FrameError(f"truncated payload: {len(buf)} bytes, needs at least {end}")
+        if dtype is not None:
+            fields = np.frombuffer(buf, dtype, fields[0], offset).astype(dtype.type)
+        parts.append(fields)
+        offset = end
+    if offset != len(buf):
+        raise FrameError(f"{len(buf) - offset} trailing bytes after the payload")
+    return parts
+
+
+def _checked_params(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise FrameError("parameter vector must be 1-D")
     if values.shape[0] >= 2**24:
         raise FrameError("parameter dimension exceeds 2^24")
     if not np.all(np.isfinite(values)):
-        raise FrameError("refusing to serialize non-finite parameters")
-    return struct.pack(">I", values.shape[0]) + values.astype(">f8").tobytes()
+        raise FrameError("non-finite parameters")
+    return values
 
 
-def decode_params(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_params`; returns (vector, next offset)."""
-    if len(buf) < offset + 4:
-        raise FrameError("truncated parameter header")
-    (dim,) = struct.unpack_from(">I", buf, offset)
-    if dim >= 2**24:
-        raise FrameError("parameter dimension exceeds 2^24")
-    offset += 4
-    end = offset + 8 * dim
-    if len(buf) < end:
-        raise FrameError("truncated parameter payload")
-    values = np.frombuffer(buf[offset:end], dtype=">f8").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FrameError("non-finite parameters on the wire")
-    return values, end
+def encode_params(values: np.ndarray) -> bytes:
+    """4-byte big-endian dim, then dim big-endian binary64 values."""
+    return _pack((_PARAMS,), (_checked_params(values),))
 
 
 def encode_hello(config_hash: bytes, count: int) -> bytes:
     if len(config_hash) != 32:
         raise FrameError("config hash must be 32 bytes")
-    return struct.pack(">B32sI", PROTOCOL_VERSION, config_hash, count)
+    return _pack(LAYOUTS[MessageType.HELLO], ((PROTOCOL_VERSION, config_hash, count),))
 
 
 def decode_hello(buf: bytes) -> tuple[int, bytes, int]:
-    if len(buf) != struct.calcsize(">B32sI"):
-        raise FrameError("malformed HELLO payload")
-    version, config_hash, count = struct.unpack(">B32sI", buf)
-    return version, config_hash, count
+    return _unpack(LAYOUTS[MessageType.HELLO], buf)[0]
 
 
 def encode_global_model(
     params: np.ndarray, coefficient: float, flags: int, participant_ids: list[int]
 ) -> bytes:
-    body = encode_params(params)
-    body += struct.pack(">dBI", coefficient, flags, len(participant_ids))
-    body += struct.pack(f">{len(participant_ids)}I", *participant_ids)
-    return body
+    parts = (_checked_params(params), (coefficient, flags), participant_ids)
+    return _pack(LAYOUTS[MessageType.GLOBAL_MODEL], parts)
 
 
 def decode_global_model(buf: bytes) -> tuple[np.ndarray, float, int, list[int]]:
-    params, offset = decode_params(buf)
-    if len(buf) < offset + struct.calcsize(">dBI"):
-        raise FrameError("truncated GLOBAL_MODEL payload")
-    coefficient, flags, count = struct.unpack_from(">dBI", buf, offset)
-    offset += struct.calcsize(">dBI")
-    end = offset + 4 * count
-    if len(buf) < end:
-        raise FrameError("truncated participant list")
-    ids = list(struct.unpack_from(f">{count}I", buf, offset))
-    return params, coefficient, flags, ids
+    params, (coefficient, flags), ids = _unpack(LAYOUTS[MessageType.GLOBAL_MODEL], buf)
+    return _checked_params(params), coefficient, flags, ids.tolist()
 
 
-_META = struct.Struct(">ddIBBBddH")
-
-
-def _encode_metadata(update: ClientUpdate) -> bytes:
-    mech = 1 if update.receipt.mechanism == MECHANISM_GAUSSIAN else 0
-    body = _META.pack(
+def _update_tail(update: ClientUpdate) -> tuple:
+    receipt = update.receipt
+    fields = (
         update.loss_before,
         update.loss_after,
         update.sample_count,
-        1 if update.diverged else 0,
-        mech,
-        1 if update.receipt.clip_applied else 0,
-        update.receipt.sigma,
-        update.receipt.pre_clip_norm,
-        len(update.tracked_values),
+        bool(update.diverged),
+        receipt.mechanism == MECHANISM_GAUSSIAN,
+        bool(receipt.clip_applied),
+        receipt.sigma,
+        receipt.pre_clip_norm,
     )
-    if update.tracked_values:
-        body += struct.pack(f">{len(update.tracked_values)}d", *update.tracked_values)
-    return body
+    return fields, update.tracked_values
 
 
-def _decode_update(frame: Frame, delta: np.ndarray, offset: int) -> ClientUpdate:
-    """The update of ``delta`` with the metadata tail at ``offset`` of the payload."""
-    buf = frame.payload
-    if len(buf) < offset + _META.size:
-        raise FrameError("truncated update metadata")
-    (
-        loss_before,
-        loss_after,
-        sample_count,
-        diverged,
-        mech,
-        clip_applied,
-        sigma,
-        pre_clip_norm,
-        n_tracked,
-    ) = _META.unpack_from(buf, offset)
-    offset += _META.size
-    if len(buf) < offset + 8 * n_tracked:
-        raise FrameError("truncated tracked values")
+def _decode_update(frame: Frame, delta: np.ndarray, fields: tuple, tracked) -> ClientUpdate:
+    loss_before, loss_after, sample_count, diverged, gaussian, clipped, sigma, norm = fields
+    mechanism = MECHANISM_GAUSSIAN if gaussian else MECHANISM_NONE
     try:
         receipt = NoiseReceipt(
-            sigma=sigma,
-            clip_applied=bool(clip_applied),
-            pre_clip_norm=pre_clip_norm,
-            mechanism=MECHANISM_GAUSSIAN if mech else MECHANISM_NONE,
+            sigma=sigma, clip_applied=bool(clipped), pre_clip_norm=norm, mechanism=mechanism
         )
         return ClientUpdate(
             client_id=frame.client_id,
@@ -268,7 +278,7 @@ def _decode_update(frame: Frame, delta: np.ndarray, offset: int) -> ClientUpdate
             loss_after=loss_after,
             receipt=receipt,
             diverged=bool(diverged),
-            tracked_values=struct.unpack_from(f">{n_tracked}d", buf, offset),
+            tracked_values=tuple(tracked.tolist()),
         )
     except ValueError as exc:
         raise FrameError(f"invalid update: {exc}") from None
@@ -276,58 +286,45 @@ def _decode_update(frame: Frame, delta: np.ndarray, offset: int) -> ClientUpdate
 
 def encode_client_update(update: ClientUpdate) -> bytes:
     delta = update.delta if not update.diverged else np.zeros_like(update.delta)
-    return encode_params(delta) + _encode_metadata(update)
+    parts = (_checked_params(delta), *_update_tail(update))
+    return _pack(LAYOUTS[MessageType.CLIENT_UPDATE], parts)
 
 
 def decode_client_update(frame: Frame) -> ClientUpdate:
-    delta, offset = decode_params(frame.payload)
-    return _decode_update(frame, delta, offset)
+    delta, *tail = _unpack(LAYOUTS[MessageType.CLIENT_UPDATE], frame.payload)
+    return _decode_update(frame, _checked_params(delta), *tail)
 
 
 def encode_masked_share(share: MaskedShare, update: ClientUpdate) -> bytes:
-    words = share.masked_values
-    body = struct.pack(">I", words.shape[0]) + words.astype(">u8").tobytes()
-    return body + _encode_metadata(update)
+    parts = (share.masked_values, *_update_tail(update))
+    return _pack(LAYOUTS[MessageType.MASKED_SHARE], parts)
 
 
 def decode_masked_share(frame: Frame) -> tuple[MaskedShare, ClientUpdate]:
-    buf = frame.payload
-    if len(buf) < 4:
-        raise FrameError("truncated MASKED_SHARE payload")
-    (dim,) = struct.unpack_from(">I", buf)
-    end = 4 + 8 * dim
-    if len(buf) < end:
-        raise FrameError("truncated masked words")
-    words = np.frombuffer(buf[4:end], dtype=">u8").astype(np.uint64)
+    words, *tail = _unpack(LAYOUTS[MessageType.MASKED_SHARE], frame.payload)
     share = MaskedShare(
         client_id=frame.client_id, round_index=frame.round_index, masked_values=words
     )
     # The delta placeholder is never aggregated; masked rounds sum the shares.
-    return share, _decode_update(frame, np.zeros(dim, dtype=np.float64), end)
+    return share, _decode_update(frame, np.zeros(len(words)), *tail)
 
 
 def encode_round_summary(global_loss: float, accuracy: float) -> bytes:
-    return struct.pack(">dd", global_loss, accuracy)
+    return _pack(LAYOUTS[MessageType.ROUND_REPORT], ((global_loss, accuracy),))
 
 
 def decode_round_summary(buf: bytes) -> tuple[float, float]:
-    if len(buf) != 16:
-        raise FrameError("malformed ROUND_REPORT payload")
-    return struct.unpack(">dd", buf)
+    return _unpack(LAYOUTS[MessageType.ROUND_REPORT], buf)[0]
 
 
 def encode_notice(code: int, reason: str) -> bytes:
     data = reason.encode("utf-8")[:65535]
-    return struct.pack(">BH", code, len(data)) + data
+    return _pack(_NOTICE, ((code,), np.frombuffer(data, dtype=np.uint8)))
 
 
 def decode_notice(buf: bytes) -> tuple[int, str]:
-    if len(buf) < 3:
-        raise FrameError("malformed notice payload")
-    code, length = struct.unpack_from(">BH", buf)
-    if len(buf) < 3 + length:
-        raise FrameError("truncated notice reason")
-    return code, buf[3 : 3 + length].decode("utf-8", errors="replace")
+    (code,), reason = _unpack(_NOTICE, buf)
+    return code, reason.tobytes().decode("utf-8", errors="replace")
 
 
 # -- socket helpers ----------------------------------------------------------

@@ -179,6 +179,7 @@ MALFORMED_UPDATES = {
     "wrong_dimension": lambda samples: _update_payload(samples, dim=1),
     "wrong_tracked_count": lambda samples: _update_payload(samples, tracked=()),
     "wrong_sample_count": lambda samples: _update_payload(samples + 1),
+    "trailing_byte": lambda samples: _update_payload(samples) + b"\x00",
 }
 
 
@@ -321,6 +322,16 @@ def test_out_of_range_settings_exit_1_in_one_line(tmp_path, command, override):
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"config error: {override.split('.')[0]}")
+
+
+@pytest.mark.parametrize("count,code", [(65535, 0), (70000, 1)])
+def test_tracked_indices_are_capped_at_the_wire_count(capsys, count, code):
+    # A client's tracked values travel under a u16 count.
+    override = "tracked_indices=" + json.dumps([0] * count)
+    assert main(["validate", "--config", CONFIG, "--override", override]) == code
+    if code:
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: tracked_indices: must hold <= 65535 entries"]
 
 
 SECURE_BASELINE = ["secure_aggregation=true", "transport.timeout_seconds=5"]

@@ -21,7 +21,6 @@ from fedmesh.federation import (
 )
 from fedmesh.model import Dataset, ModelSpec, gradient, init_params, loss
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
-from fedmesh.secure_sum import SecureSumAbort
 
 SPEC = ModelSpec(feature_dim=2, class_count=3)
 NO_DP = PrivacyBudget(enabled=False)
@@ -396,40 +395,19 @@ def test_custom_policy_takes_explicit_weights():
         _engine(clients, TrainingSchedule(rounds=1), policy=AggregationPolicy("custom_weighted"))
 
 
-def test_secure_round_retries_then_halts_on_persistent_abort():
+def test_complete_round_with_a_missing_share_raises_federation_abort():
     clients = [_client(i) for i in range(3)]
     engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=True)
-    calls = []
-
-    original = engine.collect_shares
-
-    def dropping(inputs):
-        calls.append(1)
-        shares = original(inputs)
-        return shares[:-1]  # one share always missing
-
-    engine.collect_shares = dropping
-    with pytest.raises(FederationAbort, match="twice"):
-        engine.run_round()
-    assert len(calls) == 2  # first attempt plus exactly one retry
-
-
-def test_secure_round_recovers_when_retry_succeeds():
-    clients = [_client(i) for i in range(3)]
-    engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=True)
-    original = engine.collect_shares
-    state = {"failed": False}
-
-    def flaky(inputs):
-        if not state["failed"]:
-            state["failed"] = True
-            raise SecureSumAbort("injected fault")
-        return original(inputs)
-
-    engine.collect_shares = flaky
-    report = engine.run_round()
-    assert report.round_index == 0
-    assert engine.round_index == 1
+    inputs = engine.begin_round(0)
+    inputs.updates = [engine.run_local(cid, 0) for cid in inputs.participant_ids]
+    inputs.shares = [
+        engine.masked_share_for(u, inputs.coefficients[u.client_id], inputs.participant_ids)
+        for u in inputs.updates[:-1]  # the last client's share is missing
+    ]
+    with pytest.raises(FederationAbort, match="round 0: share set mismatch: missing"):
+        engine.complete_round(inputs)
+    # Nothing advanced: the round can be completed once the share arrives.
+    assert engine.round_index == 0 and engine.reports == []
 
 
 def test_secure_round_with_partial_participation():

@@ -1,4 +1,6 @@
+import re
 import socket
+import struct
 import threading
 import time
 
@@ -14,6 +16,8 @@ from fedmesh.privacy import NoiseReceipt
 from fedmesh.secure_sum import MaskedShare
 from fedmesh.transport import (
     BYE_CONFIG_MISMATCH,
+    HEADER,
+    LAYOUTS,
     MAX_PAYLOAD,
     FederationClient,
     FederationServer,
@@ -28,7 +32,6 @@ from fedmesh.transport import (
     decode_hello,
     decode_masked_share,
     decode_notice,
-    decode_params,
     decode_round_summary,
     encode_client_update,
     encode_frame,
@@ -38,6 +41,8 @@ from fedmesh.transport import (
     encode_notice,
     encode_params,
     encode_round_summary,
+    _pack,
+    _unpack,
 )
 
 BASE_OVERRIDES = ["schedule.rounds=3", "transport.timeout_seconds=10"]
@@ -64,9 +69,8 @@ def test_params_round_trip_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         values = rng.normal(0, 1e3, int(rng.integers(0, 40)))
-        decoded, offset = decode_params(encode_params(values))
-        assert offset == 4 + 8 * len(values)
-        assert np.array_equal(decoded, values)
+        decoded, _, _, _ = decode_global_model(encode_global_model(values, 0.0, 0, []))
+        assert decoded.tobytes() == values.tobytes()
 
 
 def test_encode_params_rejects_non_finite():
@@ -74,9 +78,10 @@ def test_encode_params_rejects_non_finite():
         encode_params(np.array([np.inf]))
 
 
-def test_decode_params_truncation():
-    with pytest.raises(FrameError):
-        decode_params(b"\x00\x00\x00\x02" + b"\x00" * 8)
+def test_decode_global_model_truncated_params():
+    # Two values declared, one sent.
+    with pytest.raises(FrameError, match="truncated"):
+        decode_global_model(b"\x00\x00\x00\x02" + b"\x00" * 8)
 
 
 # -- frames -------------------------------------------------------------------
@@ -350,6 +355,104 @@ def test_masked_share_round_trip_property(update, words):
     assert out_update.delta.tolist() == [0.0] * len(words)
 
 
+# -- the layout table -----------------------------------------------------------
+
+
+_FIELD_VALUES = {
+    "B": st.integers(0, 2**8 - 1),
+    "H": st.integers(0, 2**16 - 1),
+    "I": st.integers(0, 2**32 - 1),
+    "d": st.floats(),
+}
+
+
+def _part_values(part):
+    """Valid values for one ``LAYOUTS`` part: a field tuple, or a native array."""
+    if part.dtype is None:
+        fields = []
+        for size, code in re.findall(r"(\d*)(\w)", part.head.format.lstrip(">")):
+            if code == "s":
+                fields.append(st.binary(min_size=int(size), max_size=int(size)))
+            else:
+                fields += [_FIELD_VALUES[code]] * int(size or 1)
+        return st.tuples(*fields)
+    dtype = part.dtype
+    element = st.floats() if dtype.kind == "f" else st.integers(0, 2 ** (8 * dtype.itemsize) - 1)
+    return st.lists(element, max_size=6).map(lambda v: np.array(v, dtype=dtype.type))
+
+
+def _layout_parts(msg_type):
+    return st.tuples(*(_part_values(part) for part in LAYOUTS[msg_type]))
+
+
+def _bitwise(parts):
+    """Parts as comparable bytes, so NaNs and signed zeros compare by their bits."""
+    return [
+        (p.dtype.str, p.tobytes())
+        if isinstance(p, np.ndarray)
+        else tuple(struct.pack(">d", v) if isinstance(v, float) else v for v in p)
+        for p in parts
+    ]
+
+
+@pytest.mark.parametrize("msg_type", list(MessageType), ids=lambda t: t.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layout_round_trip_is_bitwise_and_prefixes_are_refused(msg_type, data):
+    layout = LAYOUTS[msg_type]
+    parts = data.draw(_layout_parts(msg_type))
+    payload = _pack(layout, parts)
+    assert _bitwise(_unpack(layout, payload)) == _bitwise(parts)
+    for end in range(len(payload)):
+        with pytest.raises(FrameError, match="truncated"):
+            _unpack(layout, payload[:end])
+
+
+# Decoder name -> the pinned frame whose payload it reads.
+PINNED_PAYLOADS = {
+    "hello": MessageType.HELLO,
+    "global_model": MessageType.GLOBAL_MODEL,
+    "client_update": MessageType.CLIENT_UPDATE,
+    "masked_share": MessageType.MASKED_SHARE,
+    "round_summary": MessageType.ROUND_REPORT,
+    "notice": MessageType.BYE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_DECODERS))
+def test_payload_with_a_trailing_byte_is_refused(name):
+    payload = bytes.fromhex(FRAME_PINS[PINNED_PAYLOADS[name]])[HEADER.size :]
+    PAYLOAD_DECODERS[name](payload)
+    with pytest.raises(FrameError, match="1 trailing bytes"):
+        PAYLOAD_DECODERS[name](payload + b"\x00")
+
+
+def _too_many_tracked_values():
+    update = _sample_update()
+    update.tracked_values = (0.0,) * 2**16
+    return encode_client_update(update)
+
+
+# Each value lies outside its wire field; none may wrap or escape as another error.
+OUT_OF_FIELD = {
+    "tracked_count": _too_many_tracked_values,
+    "id_wraps_in_numpy": lambda: encode_global_model(np.zeros(1), 0.0, 0, np.array([2**32])),
+    "negative_id": lambda: encode_global_model(np.zeros(1), 0.0, 0, [-1]),
+    "id_beyond_u32": lambda: encode_global_model(np.zeros(1), 0.0, 0, [2**32]),
+    "fractional_id": lambda: encode_global_model(np.zeros(1), 0.0, 0, [1.5]),
+    "flags": lambda: encode_global_model(np.zeros(1), 0.0, 256, []),
+    "coefficient": lambda: encode_global_model(np.zeros(1), 10**400, 0, []),
+    "hello_count": lambda: encode_hello(b"\x00" * 32, 2**32),
+    "notice_code": lambda: encode_notice(-1, "x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_FIELD))
+def test_pack_refuses_values_outside_their_field(name):
+    with pytest.raises(FrameError):
+        OUT_OF_FIELD[name]()
+
+
 # -- sockets -------------------------------------------------------------------
 
 
@@ -479,8 +582,6 @@ def test_single_client_socket_matches_simulate():
 
 
 def test_protocol_version_mismatch_gets_bye():
-    import struct
-
     config = _config()
     engine = build_engine(config)
     server = FederationServer(engine, config_hash(config), port=0, timeout=3)
@@ -619,8 +720,6 @@ def test_config_hash_mismatch_exits_3_on_both_sides():
 
 
 def test_oversize_frame_gets_abort_reply():
-    import struct
-
     from fedmesh.transport import HEADER, MAGIC, MAX_PAYLOAD
 
     config = _config(["transport.timeout_seconds=3"])
