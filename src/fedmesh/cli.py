@@ -1,8 +1,8 @@
 """Experiment runner: simulate / serve / join / baseline / validate.
 
 Exit codes: 0 success, 1 configuration error (the message names the
-offending key), 2 runtime abort (diverged or twice-failed round, lost
-client), 3 config-hash mismatch between server and client.
+offending key), 2 runtime abort (diverged or failed round, lost client),
+3 config-hash mismatch between server and client.
 
 Set ``FEDMESH_LOG`` (DEBUG/INFO/WARNING/ERROR) to control log verbosity.
 """
@@ -33,16 +33,16 @@ def _setup_logging() -> None:
     )
 
 
-def _parse_addr(text: str, default_host: str, default_port: int) -> tuple[str, int]:
-    if not text:
-        return default_host, default_port
+def _address(text: str) -> dict:
+    """The ``transport`` keys an ``ADDR:PORT`` argument sets; an empty ADDR keeps the config's."""
     host, sep, port = text.rpartition(":")
     if not sep:
-        return text, default_port
+        return {"host": text} if text else {}
     try:
-        return host or default_host, int(port)
+        keys = {"port": int(port)}
     except ValueError:
         raise ConfigError(f"bad address {text!r}: expected ADDR:PORT") from None
+    return {"host": host, **keys} if host else keys
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -51,6 +51,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         overrides=args.override,
         seed=args.seed,
         output_dir=getattr(args, "out", None),
+        transport=_address(getattr(args, "address", "")),
     )
 
 
@@ -110,15 +111,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     config = _load(args)
-    host, port = _parse_addr(args.listen, config.transport.host, config.transport.port)
     out_dir = outputs.prepare_output_dir(config.output_dir, args.force)
     started = datetime.now(timezone.utc)
     engine = build_engine(config)
     server = FederationServer(
         engine,
         config_hash(config),
-        host=host,
-        port=port,
+        host=config.transport.host,
+        port=config.transport.port,
         timeout=config.transport.timeout_seconds,
     )
     try:
@@ -138,15 +138,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_join(args: argparse.Namespace) -> int:
     config = _load(args)
-    host, port = _parse_addr(args.server, config.transport.host, config.transport.port)
     engine = build_engine(config)
-    client = FederationClient(
-        engine,
-        args.client_id,
-        config_hash(config),
-        (host, port),
-        timeout=config.transport.timeout_seconds,
-    )
+    try:
+        client = FederationClient(
+            engine,
+            args.client_id,
+            config_hash(config),
+            (config.transport.host, config.transport.port),
+            timeout=config.transport.timeout_seconds,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"--client-id: {exc}") from None
     client.run()
     print(f"join: client {args.client_id} completed the run")
     return 0
@@ -170,12 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the central server over TCP")
     _add_common(p)
-    p.add_argument("--listen", default="", metavar="ADDR:PORT", help="listen address")
+    p.add_argument(
+        "--listen", dest="address", default="", metavar="ADDR:PORT", help="listen address"
+    )
     p.set_defaults(handler=cmd_serve)
 
     p = sub.add_parser("join", help="run one client against a server")
     _add_common(p, out=False)
-    p.add_argument("--server", required=True, metavar="ADDR:PORT", help="server address")
+    p.add_argument(
+        "--server", dest="address", required=True, metavar="ADDR:PORT", help="server address"
+    )
     p.add_argument("--client-id", required=True, type=int, help="this client's id")
     p.set_defaults(handler=cmd_join)
 

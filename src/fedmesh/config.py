@@ -542,8 +542,9 @@ def load_config(
     overrides: list[str] | None = None,
     seed: int | None = None,
     output_dir: str | None = None,
+    transport: dict | None = None,
 ) -> ExperimentConfig:
-    """Read, override, and validate a config file."""
+    """Read, override, and validate a config file; ``transport`` sets keys of that section."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -553,8 +554,11 @@ def load_config(
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     if overrides:
         raw = apply_overrides(raw, overrides)
-    if seed is not None:
-        raw["seed"] = seed
-    if output_dir is not None:
-        raw["output_dir"] = output_dir
+    if isinstance(raw, dict):  # parse_config refuses anything else in one line
+        if seed is not None:
+            raw["seed"] = seed
+        if output_dir is not None:
+            raw["output_dir"] = output_dir
+        if transport and isinstance(raw.setdefault("transport", {}), dict):
+            raw["transport"].update(transport)
     return parse_config(raw)

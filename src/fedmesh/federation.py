@@ -61,7 +61,7 @@ _FLAGGED_RECEIPT = NoiseReceipt(
 
 
 class FederationAbort(Exception):
-    """The experiment cannot continue (round failed twice, or no usable updates)."""
+    """The experiment cannot continue (a round failed, e.g. no usable updates)."""
 
 
 @dataclass

@@ -17,21 +17,22 @@ a parameter vector survives the wire bit for bit.  What the fields mean:
 
 * HELLO: version, config hash, count (client: its sample count; server
   ack: expected client count).
-* GLOBAL_MODEL: params, coefficient (this client's aggregation weight,
-  meaningful only under secure aggregation), flags (bit0 selected, bit1
-  secure, bit2 retry), participant ids.
+* GLOBAL_MODEL: params, then the header of :func:`global_model_header`:
+  coefficient (this client's aggregation weight, meaningful only under
+  secure aggregation), flags (bit0 selected, bit1 secure, bit2 unused),
+  participant ids.  A client refuses a header it does not derive itself.
 * CLIENT_UPDATE and MASKED_SHARE: the delta params or the masked words,
   then loss_before, loss_after, sample_count, diverged, mechanism (0 none,
   1 gaussian), clip_applied, sigma, pre_clip_norm, tracked local values.
 * ROUND_REPORT: global loss, accuracy (server -> client notice).
-* ABORT (code 1 retry round, 2 fatal) and BYE (0 normal, 3 config
-  mismatch): code, UTF-8 reason.
+* ABORT (code 2: the run ends) and BYE (0 normal, 3 config mismatch):
+  code, UTF-8 reason.
 
 The server is a single round-state machine (broadcast -> collect ->
-aggregate) in its caller's thread; one ``selectors`` loop does all its
-reads, so no connection can stall another.  The protocol carries no TLS;
-the threat model here is covered by differential privacy plus masking,
-not transport encryption.
+aggregate, once per round, as ``simulate`` runs it) in its caller's
+thread; one ``selectors`` loop does all its reads, so no connection can
+stall another.  The protocol carries no TLS; the threat model here is
+covered by differential privacy plus masking, not transport encryption.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .federation import ClientUpdate, FederationAbort, FederationEngine
+from .federation import ClientUpdate, FederationAbort, FederationEngine, RoundInputs
 from .privacy import MECHANISM_GAUSSIAN, MECHANISM_NONE, NoiseReceipt
 from .secure_sum import MaskedShare
 
@@ -61,9 +62,7 @@ DEFAULT_PORT = 7700
 
 FLAG_SELECTED = 0x01
 FLAG_SECURE = 0x02
-FLAG_RETRY = 0x04
 
-ABORT_RETRY = 1
 ABORT_FATAL = 2
 
 BYE_NORMAL = 0
@@ -368,6 +367,17 @@ class FrameConnection:
 # -- server ------------------------------------------------------------------
 
 
+def global_model_header(
+    engine: FederationEngine, inputs: RoundInputs, client_id: int
+) -> tuple[float, int, list[int]]:
+    """(coefficient, flags, participant ids) of a client's GLOBAL_MODEL; both ends derive it."""
+    secure = engine.secure_aggregation
+    selected = client_id in inputs.participant_ids
+    coefficient = inputs.coefficients[client_id] if secure and selected else 0.0
+    flags = (FLAG_SECURE if secure else 0) | (FLAG_SELECTED if selected else 0)
+    return coefficient, flags, inputs.participant_ids
+
+
 class TransportError(Exception):
     """Fatal transport-level failure (handshake, timeout, lost client)."""
 
@@ -541,8 +551,14 @@ class FederationServer:
         notice = encode_notice(code, reason)
         self._broadcast(lambda cid: Frame(msg_type, round_index, cid, notice))
 
-    def _collect(self, round_index: int, participant_ids: list[int], secure: bool):
-        wanted = set(participant_ids)
+    def _model_frame(self, inputs: RoundInputs, cid: int) -> Frame:
+        header = global_model_header(self.engine, inputs, cid)
+        payload = encode_global_model(self.engine.params, *header)
+        return Frame(MessageType.GLOBAL_MODEL, inputs.round_index, cid, payload)
+
+    def _collect(self, inputs: RoundInputs):
+        round_index, secure = inputs.round_index, self.engine.secure_aggregation
+        wanted = set(inputs.participant_ids)
         updates: dict[int, ClientUpdate] = {}
         shares: dict[int, MaskedShare | None] = {}
         end = time.monotonic() + self.timeout
@@ -583,40 +599,19 @@ class FederationServer:
         )
 
     def run(self) -> None:
-        """Drive all rounds; raises TransportError / FederationAbort on failure."""
-        secure = self.engine.secure_aggregation
-        for _ in range(self.engine.schedule.rounds):
-            inputs = self.engine.begin_round(self.engine.round_index)
-            t, pids = inputs.round_index, inputs.participant_ids
-            failure: Exception | None = None
-            for attempt in (1, 2):
-                flags_base = (FLAG_SECURE if secure else 0) | (FLAG_RETRY if attempt == 2 else 0)
-
-                def model_frame(cid: int) -> Frame:
-                    selected = cid in pids
-                    flags = flags_base | (FLAG_SELECTED if selected else 0)
-                    coeff = inputs.coefficients[cid] if (secure and selected) else 0.0
-                    return Frame(
-                        MessageType.GLOBAL_MODEL,
-                        t,
-                        cid,
-                        encode_global_model(self.engine.params, coeff, flags, pids),
-                    )
-
-                self._broadcast(model_frame)
-                try:
-                    inputs.updates, inputs.shares = self._collect(t, pids, secure)
-                    report = self.engine.complete_round(inputs)
-                    failure = None
-                    break
-                except FederationAbort as exc:
-                    failure = exc
-                    log.warning("round %d attempt %d aborted: %s", t, attempt, exc)
-                    if attempt == 1:
-                        self._notify(MessageType.ABORT, t, ABORT_RETRY, str(exc))
-            if failure is not None:
-                self._notify(MessageType.ABORT, t, ABORT_FATAL, str(failure))
-                raise TransportError(f"round {t} failed twice: {failure}", exit_code=2)
+        """Run each round once; a failed round ends the run with ABORT and TransportError."""
+        engine = self.engine
+        for _ in range(engine.schedule.rounds):
+            t = engine.round_index
+            try:
+                inputs = engine.begin_round(t)
+                self._broadcast(lambda cid: self._model_frame(inputs, cid))
+                inputs.updates, inputs.shares = self._collect(inputs)
+                report = engine.complete_round(inputs)
+            except FederationAbort as exc:
+                log.warning("round %d aborted: %s", t, exc)
+                self._notify(MessageType.ABORT, t, ABORT_FATAL, str(exc))
+                raise TransportError(f"round {t} failed: {exc}") from None
             summary = encode_round_summary(report.global_loss, report.global_metrics.accuracy)
             self._broadcast(lambda cid: Frame(MessageType.ROUND_REPORT, t, cid, summary))
         self._notify(MessageType.BYE, 0, BYE_NORMAL, "run complete")
@@ -694,11 +689,7 @@ class FederationClient:
                     return
                 raise TransportError(f"server terminated: {reason}", exit_code=code)
             if frame.msg_type == MessageType.ABORT:
-                code, reason = decode_notice(frame.payload)
-                if code == ABORT_FATAL:
-                    raise TransportError(f"server aborted: {reason}", exit_code=2)
-                log.warning("round %d aborted (%s); awaiting retry", frame.round_index, reason)
-                continue
+                raise TransportError(f"server aborted: {decode_notice(frame.payload)[1]}")
             if frame.msg_type == MessageType.ROUND_REPORT:
                 global_loss, accuracy = decode_round_summary(frame.payload)
                 log.debug(
@@ -708,27 +699,25 @@ class FederationClient:
             if frame.msg_type != MessageType.GLOBAL_MODEL:
                 log.warning("ignoring unexpected frame type %d", frame.msg_type)
                 continue
-            params, coefficient, flags, participant_ids = decode_global_model(frame.payload)
+            params, *header = decode_global_model(frame.payload)
             t = frame.round_index
             if params.shape != self.engine.params.shape:
                 raise TransportError(
                     f"round {t}: global model has dim {params.shape[0]}, "
                     f"expected {self.engine.params.shape[0]}"
                 )
+            own = global_model_header(self.engine, self.engine.begin_round(t), self.client_id)
+            if tuple(header) != own:
+                raise TransportError(
+                    f"round {t}: GLOBAL_MODEL (coefficient, flags, participants) "
+                    f"{tuple(header)} differs from this config's {own}"
+                )
+            coefficient, flags, participant_ids = own
             if not flags & FLAG_SELECTED:
                 continue
-            unknown = sorted(set(participant_ids) - self.engine.clients.keys())
-            if unknown:
-                raise TransportError(f"round {t}: unknown participant ids {unknown}")
-            if participant_ids != sorted(set(participant_ids)) or self.client_id not in participant_ids:
-                raise TransportError(
-                    f"round {t}: participant list is not strictly increasing "
-                    f"or leaves out client {self.client_id}"
-                )
             self.engine.params = params
-            self.engine.round_index = t
             update = self.engine.run_local(self.client_id, t)
-            if flags & FLAG_SECURE:
+            if self.engine.secure_aggregation:
                 share = self.engine.masked_share_for(update, coefficient, participant_ids)
                 msg_type, payload = MessageType.MASKED_SHARE, encode_masked_share(share, update)
             else:

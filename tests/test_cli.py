@@ -9,6 +9,7 @@ import pytest
 
 from conftest import ROOT, run_python
 from fedmesh.cli import main
+from fedmesh.transport import FLAG_SECURE, FLAG_SELECTED
 
 CONFIG = "configs/three_domains.cfg"
 FAST = ["--override", "schedule.rounds=4"]
@@ -116,7 +117,7 @@ def test_fixed_point_overflow_exits_2(tmp_path, capsys):
 
 def test_server_aborts_at_once_when_a_participant_is_gone():
     # The lone client's share overflows, so it aborts and hangs up in round 0;
-    # the retry must not wait out the server's timeout for it.
+    # the server must not wait out its timeout for it.
     from fedmesh.config import config_hash, load_config
     from fedmesh.experiment import build_engine
     from fedmesh.transport import FederationServer, TransportError
@@ -186,7 +187,7 @@ MALFORMED_UPDATES = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_UPDATES))
 def test_serve_exits_2_on_a_malformed_update(tmp_path, capsys, name):
     # The lone client sends a bad update in round 0: the server drops it, the
-    # retry finds it gone, and serve ends with one line and exit code 2.
+    # round fails, and serve ends with one line and exit code 2.
     from fedmesh.config import config_hash, load_config
     from fedmesh.experiment import build_engine
     from fedmesh.transport import Frame, FrameConnection, MessageType, encode_hello
@@ -229,7 +230,7 @@ def test_serve_exits_2_on_a_malformed_update(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
-    assert last.startswith("transport error: round 0 failed twice: client 0 dropped: malformed")
+    assert last.startswith("transport error: round 0 failed: client 0 dropped: malformed")
 
 
 def test_validate_prints_canonical_form(tmp_path, capsys):
@@ -335,21 +336,14 @@ def test_tracked_indices_are_capped_at_the_wire_count(capsys, count, code):
 
 
 SECURE_BASELINE = ["secure_aggregation=true", "transport.timeout_seconds=5"]
+SECURE_SELECTED = FLAG_SECURE | FLAG_SELECTED
 
 
-def _join_against_fake_server(params, participant_ids):
+def _join_against_fake_server(params, participant_ids, coefficient=0.25, flags=SECURE_SELECTED):
     """Run ``join`` as client 0 against a server that acks HELLO, then sends
-    one selected secure GLOBAL_MODEL frame with ``params`` and ``participant_ids``."""
+    one GLOBAL_MODEL frame with ``params`` and the given header."""
     from fedmesh.config import config_hash, load_config
-    from fedmesh.transport import (
-        FLAG_SECURE,
-        FLAG_SELECTED,
-        Frame,
-        FrameConnection,
-        MessageType,
-        encode_global_model,
-        encode_hello,
-    )
+    from fedmesh.transport import Frame, FrameConnection, MessageType, encode_global_model, encode_hello
 
     config = load_config("configs/iid_baseline.cfg", overrides=SECURE_BASELINE)
     listener = socket.create_server(("127.0.0.1", 0))
@@ -362,7 +356,7 @@ def _join_against_fake_server(params, participant_ids):
         try:
             hello = conn.recv()
             conn.send(Frame(MessageType.HELLO, 0, hello.client_id, encode_hello(config_hash(config), 4)))
-            payload = encode_global_model(params, 0.25, FLAG_SECURE | FLAG_SELECTED, participant_ids)
+            payload = encode_global_model(params, coefficient, flags, participant_ids)
             conn.send(Frame(MessageType.GLOBAL_MODEL, 0, hello.client_id, payload))
             outcome["reply"] = conn.recv()
         finally:
@@ -393,22 +387,79 @@ def test_join_exits_2_on_a_wrong_dimension_model(capsys):
     assert err.strip().splitlines() == ["transport error: round 0: global model has dim 1, expected 9"]
 
 
+# iid_baseline.cfg has 4 clients, all selected in round 0 with coefficient 0.25.
+OWN_HEADER = "(0.25, 3, [0, 1, 2, 3])"
+
+
+def _refusal(header):
+    return (
+        "transport error: round 0: GLOBAL_MODEL (coefficient, flags, participants) "
+        f"{header} differs from this config's {OWN_HEADER}"
+    )
+
+
 @pytest.mark.parametrize(
-    "participant_ids, reason",
-    [
-        ([0, 1, 99], "unknown participant ids [99]"),
-        ([1, 0, 2], "participant list is not strictly increasing or leaves out client 0"),
-        ([0, 0, 1], "participant list is not strictly increasing or leaves out client 0"),
-        ([1, 2, 3], "participant list is not strictly increasing or leaves out client 0"),
-    ],
+    "participant_ids",
+    [[0, 1, 99], [1, 0, 2], [0, 0, 1], [1, 2, 3]],
     ids=["unknown", "unsorted", "duplicate", "without_self"],
 )
-def test_join_exits_2_on_a_bad_participant_list(capsys, participant_ids, reason):
+def test_join_exits_2_on_a_bad_participant_list(capsys, participant_ids):
     code = _join_against_fake_server(np.zeros(9), participant_ids)
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines() == [f"transport error: round 0: {reason}"]
+    assert err.strip().splitlines() == [_refusal(f"(0.25, 3, {participant_ids})")]
+
+
+@pytest.mark.parametrize(
+    "coefficient, flags, participant_ids",
+    [
+        (0.25, FLAG_SELECTED, [0, 1, 2, 3]),
+        (0.25, SECURE_SELECTED, [0, 1, 2]),
+        (0.5, SECURE_SELECTED, [0, 1, 2, 3]),
+    ],
+    ids=["secure_flag_cleared", "participant_left_out", "wrong_coefficient"],
+)
+def test_join_refuses_a_header_its_config_does_not_derive(
+    capsys, coefficient, flags, participant_ids
+):
+    # A secure client must never send its plain delta, nor mask against a
+    # participant list or coefficient other than its own config's.
+    code = _join_against_fake_server(np.zeros(9), participant_ids, coefficient, flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [_refusal(f"({coefficient}, {flags}, {participant_ids})")]
+
+
+@pytest.mark.parametrize("port", [70000, -5])
+@pytest.mark.parametrize("command", ["serve", "join"])
+def test_out_of_range_port_exits_1_in_one_line(tmp_path, capsys, command, port):
+    flag = "--listen" if command == "serve" else "--server"
+    where = ["--out", str(tmp_path / "o")] if command == "serve" else ["--client-id", "0"]
+    assert main([command, "--config", CONFIG, flag, f"127.0.0.1:{port}", *where]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: transport.port: must lie in [0, 65536)"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["validate", "--seed", "3"], ["join", "--server", "127.0.0.1:7700", "--client-id", "0"]],
+    ids=["seed", "address"],
+)
+def test_non_object_config_exits_1_in_one_line(tmp_path, capsys, flags):
+    path = tmp_path / "list.cfg"
+    path.write_text("[]")
+    assert main([flags[0], "--config", str(path), *flags[1:]]) == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: config: expected an object"]
+
+
+@pytest.mark.parametrize("client_id", [99, -1])
+def test_join_unknown_client_id_exits_1_in_one_line(capsys, client_id):
+    args = ["join", "--config", CONFIG, "--server", f"127.0.0.1:{_free_port()}"]
+    assert main([*args, "--client-id", str(client_id)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: --client-id: client id")
 
 
 def test_baseline_writes_metrics(tmp_path):

@@ -768,7 +768,7 @@ def test_oversize_frame_gets_abort_reply():
     assert outcome["reply"].msg_type == MessageType.ABORT
 
 
-def test_client_disconnect_mid_round_halts_after_retry():
+def test_client_disconnect_mid_round_ends_the_run():
     config = _config(["transport.timeout_seconds=2"])
     engine = build_engine(config)
     server = FederationServer(engine, config_hash(config), port=0, timeout=2)
@@ -788,7 +788,7 @@ def test_client_disconnect_mid_round_halts_after_retry():
         conn = FrameConnection(sock)
         conn.send(Frame(MessageType.HELLO, 0, cid, encode_hello(config_hash(config), 240)))
         conn.recv()  # ack
-        conn.recv()  # first GLOBAL_MODEL
+        conn.recv()  # GLOBAL_MODEL
         conn.close()
 
     def join(cid):
@@ -810,6 +810,77 @@ def test_client_disconnect_mid_round_halts_after_retry():
     server.close()
     assert isinstance(server_error.get("exc"), TransportError)
     assert server_error["exc"].exit_code == 2
+
+
+def test_silent_client_ends_the_run_after_one_collect_deadline():
+    timeout = 1.0
+    config = load_config(
+        "configs/iid_baseline.cfg", overrides=["domains.0.clients=1", "schedule.rounds=1"]
+    )
+    server = FederationServer(build_engine(config), config_hash(config), port=0, timeout=timeout)
+    samples = len(server.engine.clients[0].data)
+    outcome = {}
+
+    def serve():
+        server.wait_for_clients()
+        started = time.monotonic()
+        try:
+            server.run()
+        except TransportError as exc:
+            outcome["error"] = exc
+        outcome["seconds"] = time.monotonic() - started
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    conn = FrameConnection(socket.create_connection(server.address, timeout=10))
+    try:
+        conn.send(Frame(MessageType.HELLO, 0, 0, encode_hello(config_hash(config), samples)))
+        assert conn.recv().msg_type == MessageType.HELLO
+        assert conn.recv().msg_type == MessageType.GLOBAL_MODEL
+        after = conn.recv()  # the client never answers
+    finally:
+        thread.join(30)
+        conn.close()
+        server.close()
+    assert not thread.is_alive()
+    assert after.msg_type == MessageType.ABORT
+    assert decode_notice(after.payload)[0] == 2
+    assert str(outcome["error"]) == "round 0 failed: timed out waiting for clients [0]"
+    assert outcome["error"].exit_code == 2
+    assert outcome["seconds"] < 2 * timeout
+
+
+@pytest.mark.parametrize("secure", [False, True], ids=["plain", "secure"])
+def test_global_model_bytes_follow_the_fixed_header_rule(monkeypatch, secure):
+    # Selected clients get flags bit0, every client bit1 under secure
+    # aggregation, and only a selected secure client a nonzero coefficient.
+    config = _config(
+        ["schedule.participation_fraction=0.5", f"secure_aggregation={str(secure).lower()}"]
+    )
+    sent = []
+    real_send = FrameConnection.send
+
+    def recording_send(conn, frame):
+        if frame.msg_type == MessageType.GLOBAL_MODEL:
+            sent.append((frame.round_index, frame.client_id, frame.payload))
+        real_send(conn, frame)
+
+    monkeypatch.setattr(FrameConnection, "send", recording_send)
+    _, errors = _run_federation(config, [0, 1, 2])
+    assert errors == []
+    sim = build_engine(config)
+    expected = []
+    for t in range(config.schedule.rounds):
+        inputs = sim.begin_round(t)
+        pids = inputs.participant_ids
+        assert 0 < len(pids) < len(sim.clients)
+        for cid in sorted(sim.clients):
+            selected = cid in pids
+            flags = (0x02 if secure else 0) | (0x01 if selected else 0)
+            coefficient = inputs.coefficients[cid] if secure and selected else 0.0
+            expected.append((t, cid, encode_global_model(sim.params, coefficient, flags, pids)))
+        sim.run_round()
+    assert sent == expected
 
 
 def test_client_gives_up_on_a_silent_server():
