@@ -34,15 +34,26 @@ def _setup_logging() -> None:
 
 
 def _address(text: str) -> dict:
-    """The ``transport`` keys an ``ADDR:PORT`` argument sets; an empty ADDR keeps the config's."""
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        return {"host": text} if text else {}
-    try:
-        keys = {"port": int(port)}
-    except ValueError:
-        raise ConfigError(f"bad address {text!r}: expected ADDR:PORT") from None
-    return {"host": host, **keys} if host else keys
+    """The ``transport`` keys an ``ADDR:PORT`` argument sets; an empty ADDR keeps the config's.
+
+    An IPv6 ADDR goes in brackets, as in ``[::1]:7700``.
+    """
+    if text.startswith("["):
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise ConfigError(f"bad address {text!r}: expected [ADDR]:PORT")
+        sep, port = rest[:1], rest[1:]
+    else:
+        host, sep, port = text.rpartition(":")
+        if not sep:
+            host = text
+    keys = {"host": host} if host else {}
+    if sep:
+        try:
+            keys["port"] = int(port)
+        except ValueError:
+            raise ConfigError(f"bad address {text!r}: expected ADDR:PORT") from None
+    return keys
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:

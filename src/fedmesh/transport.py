@@ -31,7 +31,11 @@ a parameter vector survives the wire bit for bit.  What the fields mean:
 The server is a single round-state machine (broadcast -> collect ->
 aggregate, once per round, as ``simulate`` runs it) in its caller's
 thread; one ``selectors`` loop does all its reads, so no connection can
-stall another.  The protocol carries no TLS; the threat model here is
+stall another.  Both ends set ``TCP_NODELAY`` on their TCP sockets and
+send each frame with one ``sendall``.  Without it, Nagle's algorithm
+holds a round's GLOBAL_MODEL behind the unacknowledged ROUND_REPORT sent
+just before it until the peer's delayed ACK fires: a ~40 ms stall on
+every round.  The protocol carries no TLS; the threat model here is
 covered by differential privacy plus masking, not transport encryption.
 """
 
@@ -330,9 +334,16 @@ def decode_notice(buf: bytes) -> tuple[int, str]:
 
 
 class FrameConnection:
-    """A socket plus its streaming decoder and a pending-frame queue."""
+    """A TCP socket plus its streaming decoder and a pending-frame queue.
+
+    ``sock`` must be a TCP socket.  It gets ``TCP_NODELAY``, and
+    :meth:`send` writes each frame with one ``sendall``, so a frame leaves
+    at once instead of waiting ~40 ms for the ACK of the frame before it
+    (Nagle's algorithm against the peer's delayed ACK).
+    """
 
     def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self._decoder = FrameDecoder()
         self._pending: list[Frame] = []
@@ -404,7 +415,9 @@ class FederationServer:
         self.engine = engine
         self.config_hash = config_hash
         self.timeout = timeout
-        self._listener = socket.create_server((host, port))
+        # Only an IPv6 literal holds a colon; every other host binds as IPv4.
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)

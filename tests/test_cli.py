@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import socket
 import threading
 import time
@@ -151,6 +152,48 @@ def test_server_aborts_at_once_when_a_participant_is_gone():
     assert code == 2
     assert outcome["error"].exit_code == 2
     assert outcome["seconds"] < 10
+
+
+def test_serve_and_join_over_ipv6(tmp_path, caplog):
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        pytest.skip("cannot bind ::1 on this machine")
+    overrides = _override_flags(["domains.0.clients=1", "schedule.rounds=2"])
+    config = ["--config", "configs/iid_baseline.cfg", *overrides]
+    caplog.set_level(logging.INFO, logger="fedmesh.cli")
+    outcome = {}
+
+    def serve():
+        out = ["--out", str(tmp_path / "o"), "--listen", "[::1]:0"]
+        outcome["serve"] = main(["serve", *config, *out])
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not [r for r in caplog.records if r.msg.startswith("listening on")]:
+            assert thread.is_alive() and time.monotonic() < deadline, "serve never listened"
+            time.sleep(0.02)
+        listening = next(r for r in caplog.records if r.msg.startswith("listening on"))
+        host, port = listening.args
+        assert host == "::1"
+        code = main(["join", *config, "--server", f"[::1]:{port}", "--client-id", "0"])
+    finally:
+        thread.join(30)
+    assert not thread.is_alive()
+    assert (code, outcome["serve"]) == (0, 0)
+
+
+@pytest.mark.parametrize("command", ["serve", "join"])
+@pytest.mark.parametrize("address", ["[::1", "[::1]7700", "[::1]:port"])
+def test_bad_bracketed_address_exits_1_in_one_line(tmp_path, capsys, command, address):
+    flag = "--listen" if command == "serve" else "--server"
+    where = ["--out", str(tmp_path / "o")] if command == "serve" else ["--client-id", "0"]
+    assert main([command, "--config", CONFIG, flag, address, *where]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: bad address {address!r}")
 
 
 def _free_port():

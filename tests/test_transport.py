@@ -608,6 +608,35 @@ def test_protocol_version_mismatch_gets_bye():
     server.close()
 
 
+def test_both_ends_of_every_connection_set_tcp_nodelay():
+    # Without it, Nagle's algorithm stalls each round on the peer's delayed ACK.
+    config = load_config(
+        "configs/iid_baseline.cfg", overrides=["domains.0.clients=2", "transport.timeout_seconds=10"]
+    )
+    engine = build_engine(config)
+    server = FederationServer(engine, config_hash(config), port=0, timeout=10)
+    thread = threading.Thread(target=server.wait_for_clients)
+    thread.start()
+    clients = []
+    try:
+        for cid in sorted(engine.clients):
+            conn = FrameConnection(socket.create_connection(server.address, timeout=10))
+            clients.append(conn)
+            samples = len(engine.clients[cid].data)
+            conn.send(Frame(MessageType.HELLO, 0, cid, encode_hello(config_hash(config), samples)))
+            assert conn.recv().msg_type == MessageType.HELLO
+        thread.join(30)
+        assert not thread.is_alive()
+        server_conns = list(server._clients.values())
+        assert len(server_conns) == 2
+        for conn in server_conns + clients:
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        for conn in clients:
+            conn.close()
+        server.close()
+
+
 def test_socket_secure_run_matches_simulate_bitwise():
     config = _config(["secure_aggregation=true"])
     sim = build_engine(config)
