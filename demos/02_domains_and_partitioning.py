@@ -29,8 +29,8 @@ pool = synthesize(builtin_recipe("user"), 2400, seed=5)
 def mean_skew(alpha):
     distances = []
     for seed in range(10):
-        plan = PartitionPlan(client_count=4, scheme="dirichlet_label_skew", dirichlet_alpha=alpha, seed=seed)
-        shards = partition(pool, plan)
+        plan = PartitionPlan(scheme="dirichlet_label_skew", dirichlet_alpha=alpha, seed=seed)
+        shards = partition(pool, plan, 4)
         overall = np.bincount(pool.labels, minlength=3) / len(pool)
         for shard in shards:
             mix = np.bincount(shard.labels, minlength=3) / len(shard)
@@ -42,5 +42,5 @@ print("\nalpha -> mean TV distance from pooled label mix (4 clients):")
 for alpha in (0.05, 0.1, 1.0, 10.0, 100.0):
     print(f"  alpha={alpha:<6} skew={mean_skew(alpha):.3f}")
 
-print("\npartition is exact: shard sizes", [len(s) for s in partition(pool, PartitionPlan(4, seed=1))],
+print("\npartition is exact: shard sizes", [len(s) for s in partition(pool, PartitionPlan(seed=1), 4)],
       "sum to", len(pool))

@@ -16,7 +16,6 @@ from .federation import (
     ClientUpdate,
     FederationEngine,
     TrainingSchedule,
-    aggregate,
     centralized_descent,
     derive_privacy_weights,
     local_train,
@@ -45,7 +44,6 @@ __all__ = [
     "RoundReport",
     "TrainingSchedule",
     "add_noise",
-    "aggregate",
     "builtin_recipe",
     "calibrate_sigma",
     "centralized_descent",

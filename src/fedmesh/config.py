@@ -46,22 +46,22 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .data import SCHEME_DIRICHLET, SCHEME_IID, DomainRecipe, builtin_recipe
+from .data import SCHEME_IID, CsvSchema, DomainRecipe, PartitionPlan, builtin_recipe
 from .federation import (
     POLICY_CUSTOM,
-    POLICY_KINDS,
     POLICY_UNIFORM,
     AggregationPolicy,
     TrainingSchedule,
+    policy_coefficients,
 )
 from .model import FAMILY_SOFTMAX_LINEAR, ModelSpec, param_dim
 from .privacy import PrivacyBudget
+from .rng import MASK64
 
-MAX_SEED = 2**64 - 1
 _REQUIRED = object()
 
 
@@ -75,6 +75,10 @@ def _type_name(types) -> str:
     return types.__name__
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 class _Node:
     """A dict with a key path, for error messages that name their key."""
 
@@ -85,22 +89,28 @@ class _Node:
         self.path = path
 
     def _full(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
+        return _join(self.path, key)
 
     def get(self, key: str, types, default=_REQUIRED):
+        """The typed value of ``key``; a ``float`` key also refuses NaN and +-inf."""
         if key not in self.data or self.data[key] is None:
             if default is _REQUIRED:
                 raise ConfigError(f"{self._full(key)}: required key is missing")
             return default
         value = self.data[key]
         if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
         if types is int and isinstance(value, bool):
             raise ConfigError(f"{self._full(key)}: expected int, got bool")
         if not isinstance(value, types):
             raise ConfigError(
                 f"{self._full(key)}: expected {_type_name(types)}, got {type(value).__name__}"
             )
+        if types is float and not math.isfinite(value):
+            raise ConfigError(f"{self._full(key)}: must be finite")
         return value
 
     def child(self, key: str, default=_REQUIRED) -> "_Node":
@@ -113,14 +123,16 @@ class _Node:
 
 
 @dataclass(frozen=True)
-class CsvDomainSource:
+class CsvDomainSource(CsvSchema):
+    """A file-backed domain: its columns, its file, and its held-out share."""
+
     path: str
-    feature_columns: tuple[str, ...]
-    label_column: str
     eval_fraction: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
+        super().__post_init__()
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ValueError("eval_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -128,17 +140,15 @@ class DomainConfig:
     tag: str
     recipe: DomainRecipe | None
     csv: CsvDomainSource | None
-    train_samples: int
-    eval_samples: int
+    train_samples: int | None  # unused by a csv domain: its file sets its sizes
+    eval_samples: int | None
     clients: int
 
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    scheme: str
-    dirichlet_alpha: float
-    min_samples_per_client: int
-    seed: int
+    def __post_init__(self) -> None:
+        for name in ("train_samples", "eval_samples", "clients"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,13 @@ class TransportConfig:
     host: str
     port: int
     timeout_seconds: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.port < 65536:
+            raise ValueError("port must lie in [0, 65536)")
+        # The client's wait, timeout x (clients + 1), must stay within what select/settimeout accept.
+        if not 0 < self.timeout_seconds <= 86400:
+            raise ValueError("timeout_seconds must lie in (0, 86400]")
 
 
 @dataclass
@@ -155,11 +172,9 @@ class ExperimentConfig:
     seed: int
     model: ModelSpec
     domains: list[DomainConfig]
-    partition: PartitionConfig
+    partition: PartitionPlan
     schedule: TrainingSchedule
     policy: AggregationPolicy
-    privacy_derived_weights: bool
-    epsilon_cap: float
     default_budget: PrivacyBudget
     budget_overrides: dict[int, PrivacyBudget]
     secure_aggregation: bool
@@ -168,6 +183,16 @@ class ExperimentConfig:
     transport: TransportConfig
     output_dir: str
     canonical: dict
+
+    def __post_init__(self) -> None:
+        # Messages name the config keys, so a ConfigError can point at them.
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError("seed must lie in [0, 2^64)")
+        if not 1 <= self.scale_bits <= 52:
+            raise ValueError("fixed_point_scale_bits must lie in [1, 52]")
+        # The wire counts a client's tracked values in a u16.
+        if len(self.tracked_indices) > 65535:
+            raise ValueError("tracked_indices must hold <= 65535 entries")
 
     @property
     def client_count(self) -> int:
@@ -178,23 +203,18 @@ class ExperimentConfig:
 
 
 class _Field(NamedTuple):
-    """One key of a config section: accepted types, default, and value check."""
+    """One key of a config section: its accepted types and its default."""
 
     name: str
     types: type | tuple[type, ...]
     default: Any = _REQUIRED
-    valid: Callable[[Any], bool] | None = None
-    problem: str = ""  # the error when ``valid`` fails; ``{!r}`` shows the value
 
-
-_SEED_RANGE = (lambda v: 0 <= v <= MAX_SEED, "must lie in [0, 2^64)")
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
 # One table per section drives unknown-key rejection, typed reads with
-# defaults, the typed object built from the values, and the canonical form.
+# defaults, and the canonical form.  Value checks live in the typed object
+# each section builds; :func:`_build` names the key they refuse.
 _ROOT = (
-    _Field("seed", int, _REQUIRED, *_SEED_RANGE),
+    _Field("seed", int),
     _Field("model", dict),
     _Field("domains", list),
     _Field("partition", dict, {}),
@@ -202,9 +222,8 @@ _ROOT = (
     _Field("policy", dict, {}),
     _Field("privacy", dict, {}),
     _Field("secure_aggregation", bool, False),
-    _Field("fixed_point_scale_bits", int, 24, lambda v: 1 <= v <= 52, "must lie in [1, 52]"),
-    # The wire counts a client's tracked values in a u16.
-    _Field("tracked_indices", list, [], lambda v: len(v) <= 65535, "must hold <= 65535 entries"),
+    _Field("fixed_point_scale_bits", int, 24),
+    _Field("tracked_indices", list, []),
     _Field("transport", dict, {}),
     _Field("output_dir", str, "fedmesh-output"),
 )
@@ -218,9 +237,9 @@ _DOMAIN = (
     _Field("tag", str, None),
     _Field("recipe", (str, dict), None),
     _Field("csv", dict, None),
-    _Field("train_samples", int, None, *_AT_LEAST_ONE),
-    _Field("eval_samples", int, None, *_AT_LEAST_ONE),
-    _Field("clients", int, 1, *_AT_LEAST_ONE),
+    _Field("train_samples", int, None),
+    _Field("eval_samples", int, None),
+    _Field("clients", int, 1),
 )
 _RECIPE = (
     _Field("class_means", list),
@@ -230,21 +249,15 @@ _RECIPE = (
 )
 _CSV = (
     _Field("path", str),
-    _Field(
-        "feature_columns",
-        list,
-        _REQUIRED,
-        lambda v: bool(v) and all(isinstance(c, str) for c in v),
-        "expected a list of strings",
-    ),
+    _Field("feature_columns", list),
     _Field("label_column", str),
-    _Field("eval_fraction", float, 0.25, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    _Field("eval_fraction", float, 0.25),
 )
 _PARTITION = (
-    _Field("scheme", str, SCHEME_IID, lambda v: v in (SCHEME_IID, SCHEME_DIRICHLET), "unknown scheme {!r}"),
-    _Field("dirichlet_alpha", float, 1.0, *_POSITIVE),
-    _Field("min_samples_per_client", int, 1, *_AT_LEAST_ONE),
-    _Field("seed", int, 0, *_SEED_RANGE),
+    _Field("scheme", str, SCHEME_IID),
+    _Field("dirichlet_alpha", float, 1.0),
+    _Field("min_samples_per_client", int, 1),
+    _Field("seed", int, 0),
 )
 _SCHEDULE = (
     _Field("rounds", int),
@@ -255,10 +268,10 @@ _SCHEDULE = (
     _Field("participation_fraction", float, 1.0),
 )
 _POLICY = (
-    _Field("kind", str, POLICY_UNIFORM, lambda v: v in POLICY_KINDS, "unknown kind {!r}"),
+    _Field("kind", str, POLICY_UNIFORM),
     _Field("weights", dict, None),
     _Field("privacy_derived", bool, False),
-    _Field("epsilon_cap", float, 8.0, *_POSITIVE),
+    _Field("epsilon_cap", float, 8.0),
 )
 _BUDGET = (
     _Field("enabled", bool, False),
@@ -269,22 +282,18 @@ _BUDGET = (
 _PRIVACY = _BUDGET + (_Field("client_overrides", dict, {}),)
 _TRANSPORT = (
     _Field("host", str, "127.0.0.1"),
-    _Field("port", int, 7700, lambda v: 0 <= v < 65536, "must lie in [0, 65536)"),
-    # The client's wait, timeout x (clients + 1), must stay within what select/settimeout accept.
-    _Field("timeout_seconds", float, 30.0, lambda v: 0 < v <= 86400, "must lie in (0, 86400]"),
+    _Field("port", int, 7700),
+    _Field("timeout_seconds", float, 30.0),
 )
 
 
 def _read(node: _Node, fields: tuple[_Field, ...], defaults: dict | None = None) -> dict:
-    """A section's values: known keys only, typed, defaulted and checked."""
+    """A section's values: known keys only, typed and defaulted."""
     node.reject_unknown({f.name for f in fields})
     values = {}
     for f in fields:
         default = f.default if defaults is None else defaults.get(f.name, f.default)
-        value = node.get(f.name, f.types, default)
-        if f.valid is not None and value is not None and not f.valid(value):
-            raise ConfigError(f"{node._full(f.name)}: {f.problem.format(value)}")
-        values[f.name] = value
+        values[f.name] = node.get(f.name, f.types, default)
     return values
 
 
@@ -294,12 +303,22 @@ def _section(top: dict, name: str, fields: tuple[_Field, ...]) -> dict:
     return top[name]
 
 
-def _build(make, values: dict, path: str):
-    """The typed object of a section; its own validation errors name the section."""
+def _build(make, values: dict, path: str, fields: tuple[_Field, ...]):
+    """The typed object of a section, whose own checks become config errors.
+
+    A message that begins with one of the section's keys names that key:
+    ``ValueError("rounds must be >= 1")`` becomes
+    ``schedule.rounds: must be >= 1``, and ``"weights.3 ..."`` names
+    ``policy.weights.3``.
+    """
     try:
         return make(**values)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        message = str(exc)
+        head, _, rest = message.partition(" ")
+        if rest and any(f.name == head.partition(".")[0] for f in fields):
+            path, message = _join(path, head), rest
+        raise ConfigError(f"{path or 'config'}: {message}") from None
 
 
 def _client_id(path: str, key: str, client_count: int) -> int:
@@ -342,9 +361,9 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
         raise ConfigError(f"{node.path}: exactly one of 'recipe' or 'csv' is required")
     if isinstance(recipe_raw, str) and values["tag"] is None:
         values["tag"] = recipe_raw  # a built-in recipe names its domain
-    if csv_raw is not None:
-        # A file-backed domain takes its sizes from the file.
-        del values["train_samples"], values["eval_samples"]
+    sizes = {key: values.pop(key) for key in ("train_samples", "eval_samples")}
+    if csv_raw is None:
+        values.update(sizes)  # a file-backed domain takes its sizes from the file
     for key in values:
         if values[key] is None:
             raise ConfigError(f"{node._full(key)}: required key is missing")
@@ -353,7 +372,7 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     if csv_raw is not None:
         csv_node = node.child("csv")
         values["csv"] = _read(csv_node, _CSV)
-        csv = CsvDomainSource(**values["csv"])
+        csv = _build(CsvDomainSource, values["csv"], csv_node.path, _CSV)
         if len(csv.feature_columns) != model.feature_dim:
             raise ConfigError(
                 f"{csv_node._full('feature_columns')}: {len(csv.feature_columns)} columns "
@@ -368,33 +387,19 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     else:
         recipe_node = node.child("recipe")
         recipe_values = _read(recipe_node, _RECIPE)
-        recipe = _build(partial(DomainRecipe, values["tag"]), recipe_values, recipe_node.path)
+        recipe = _build(partial(DomainRecipe, values["tag"]), recipe_values, recipe_node.path, _RECIPE)
         # The recipe holds float arrays; emitting those canonicalizes integer literals.
         values["recipe"] = {f.name: getattr(recipe, f.name) for f in _RECIPE}
     if recipe is not None:
         _check_recipe_shape(recipe, model, node._full("recipe"))
 
-    domain = DomainConfig(
-        tag=values["tag"],
-        recipe=recipe,
-        csv=csv,
-        train_samples=values.get("train_samples", 0),
-        eval_samples=values.get("eval_samples", 0),
-        clients=values["clients"],
-    )
-    return domain, values
+    typed = {**sizes, **values, "recipe": recipe, "csv": csv}
+    return _build(DomainConfig, typed, node.path, _DOMAIN), values
 
 
 def _parse_weights(raw: dict, client_count: int) -> dict[int, float]:
-    weights = {}
-    for key, value in raw.items():
-        path = f"policy.weights.{key}"
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a number")
-        if not math.isfinite(value) or value < 0:
-            raise ConfigError(f"{path}: must be finite and >= 0")
-        weights[_client_id(path, key, client_count)] = float(value)
-    return weights
+    node = _Node(raw, "policy.weights")
+    return {_client_id(node._full(key), key, client_count): node.get(key, float) for key in raw}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -404,7 +409,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     copy of ``top`` is the canonical form.
     """
     top = _read(_Node(raw, ""), _ROOT)
-    model = _build(ModelSpec, _section(top, "model", _MODEL), "model")
+    model = _build(ModelSpec, _section(top, "model", _MODEL), "model", _MODEL)
 
     if not top["domains"]:
         raise ConfigError("domains: at least one domain is required")
@@ -419,33 +424,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("domains: tags must be unique")
     client_count = sum(d.clients for d in domains)
 
-    partition = _build(PartitionConfig, _section(top, "partition", _PARTITION), "partition")
-    schedule = _build(TrainingSchedule, _section(top, "schedule", _SCHEDULE), "schedule")
+    partition = _build(PartitionPlan, _section(top, "partition", _PARTITION), "partition", _PARTITION)
+    schedule = _build(TrainingSchedule, _section(top, "schedule", _SCHEDULE), "schedule", _SCHEDULE)
 
-    policy = _section(top, "policy", _POLICY)
-    if policy["weights"] is not None:
-        policy["weights"] = _parse_weights(policy["weights"], client_count)
-    weights = policy["weights"]
-    if policy["kind"] == POLICY_CUSTOM and not policy["privacy_derived"]:
-        if weights is None:
-            raise ConfigError("policy.weights: required for custom_weighted (or set privacy_derived)")
-        missing = [cid for cid in range(client_count) if cid not in weights]
-        if missing:
-            raise ConfigError(f"policy.weights: missing weight for client {missing[0]}")
-        if not sum(weights.values()) > 0:
-            raise ConfigError("policy.weights: total weight must be positive")
-    if policy["privacy_derived"] and policy["kind"] != POLICY_CUSTOM:
-        raise ConfigError("policy.privacy_derived: only valid with kind custom_weighted")
+    policy_values = _section(top, "policy", _POLICY)
+    if policy_values["weights"] is not None:
+        policy_values["weights"] = _parse_weights(policy_values["weights"], client_count)
+    policy = _build(AggregationPolicy, policy_values, "policy", _POLICY)
+    if policy.kind == POLICY_CUSTOM and not policy.privacy_derived:
+        try:
+            policy_coefficients(policy, {cid: 1 for cid in range(client_count)})
+        except ValueError as exc:
+            raise ConfigError(f"policy.weights: {exc}") from None
 
     privacy = _section(top, "privacy", _PRIVACY)
     overrides = privacy.pop("client_overrides")
-    default_budget = _build(PrivacyBudget, privacy, "privacy")
+    default_budget = _build(PrivacyBudget, privacy, "privacy", _BUDGET)
     budget_overrides, privacy["client_overrides"] = {}, {}
     for key, value in overrides.items():
         path = f"privacy.client_overrides.{key}"
         cid = _client_id(path, key, client_count)
         budget = _read(_Node(value, path), _BUDGET, defaults=vars(default_budget))
-        budget_overrides[cid] = _build(PrivacyBudget, budget, path)
+        budget_overrides[cid] = _build(PrivacyBudget, budget, path, _BUDGET)
         privacy["client_overrides"][cid] = budget
 
     dim = param_dim(model)
@@ -455,25 +455,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not 0 <= value < dim:
             raise ConfigError(f"tracked_indices[{i}]: out of range for parameter dim {dim}")
 
-    transport = _build(TransportConfig, _section(top, "transport", _TRANSPORT), "transport")
+    transport = _build(TransportConfig, _section(top, "transport", _TRANSPORT), "transport", _TRANSPORT)
 
-    return ExperimentConfig(
-        seed=top["seed"],
-        model=model,
-        domains=domains,
-        partition=partition,
-        schedule=schedule,
-        policy=AggregationPolicy(kind=policy["kind"], weights=weights),
-        privacy_derived_weights=policy["privacy_derived"],
-        epsilon_cap=policy["epsilon_cap"],
-        default_budget=default_budget,
-        budget_overrides=budget_overrides,
-        secure_aggregation=top["secure_aggregation"],
-        scale_bits=top["fixed_point_scale_bits"],
-        tracked_indices=tuple(top["tracked_indices"]),
-        transport=transport,
-        output_dir=top["output_dir"],
-        canonical=_plain(top),
+    return _build(
+        ExperimentConfig,
+        {
+            "seed": top["seed"],
+            "model": model,
+            "domains": domains,
+            "partition": partition,
+            "schedule": schedule,
+            "policy": policy,
+            "default_budget": default_budget,
+            "budget_overrides": budget_overrides,
+            "secure_aggregation": top["secure_aggregation"],
+            "scale_bits": top["fixed_point_scale_bits"],
+            "tracked_indices": tuple(top["tracked_indices"]),
+            "transport": transport,
+            "output_dir": top["output_dir"],
+            "canonical": _plain(top),
+        },
+        "",
+        _ROOT,
     )
 
 
@@ -493,7 +496,7 @@ def config_hash(config: ExperimentConfig) -> bytes:
 def _parse_override_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer beyond Python's digit limit
         return text
 
 
@@ -550,7 +553,7 @@ def load_config(
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond Python's digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     if overrides:
         raw = apply_overrides(raw, overrides)

@@ -17,12 +17,13 @@ All generation is deterministic given the seed (Philox generators, see
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import Dataset
-from .rng import generator
+from .rng import MASK64, generator
 
 SCHEME_IID = "iid"
 SCHEME_DIRICHLET = "dirichlet_label_skew"
@@ -39,9 +40,11 @@ class DomainRecipe:
     label_prior: np.ndarray  # (K,) class probabilities
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_means", np.asarray(self.class_means, dtype=np.float64))
-        object.__setattr__(self, "mean_shift", np.asarray(self.mean_shift, dtype=np.float64))
-        object.__setattr__(self, "label_prior", np.asarray(self.label_prior, dtype=np.float64))
+        for name in ("class_means", "mean_shift", "label_prior"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, values)
         if self.class_means.ndim != 2:
             raise ValueError("class_means must be (K, d)")
         if self.mean_shift.shape != (self.class_means.shape[1],):
@@ -52,10 +55,8 @@ class DomainRecipe:
             raise ValueError("label_prior entries must be >= 0")
         if abs(float(self.label_prior.sum()) - 1.0) > 1e-9:
             raise ValueError("label_prior must sum to 1 within 1e-9")
-        if self.label_prior.max() <= 0:
-            raise ValueError("degenerate label_prior: all zero")
-        if not self.class_covariance_scale > 0:
-            raise ValueError("class_covariance_scale must be > 0")
+        if not 0 < self.class_covariance_scale < math.inf:
+            raise ValueError("class_covariance_scale must be finite and > 0")
 
     @property
     def class_count(self) -> int:
@@ -70,21 +71,20 @@ class DomainRecipe:
 class PartitionPlan:
     """How to split one dataset across clients."""
 
-    client_count: int
     scheme: str = SCHEME_IID
     dirichlet_alpha: float = 1.0
     min_samples_per_client: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.client_count < 1:
-            raise ValueError("client_count must be >= 1")
         if self.scheme not in (SCHEME_IID, SCHEME_DIRICHLET):
-            raise ValueError(f"unknown partition scheme: {self.scheme!r}")
+            raise ValueError(f"scheme must be {SCHEME_IID} or {SCHEME_DIRICHLET}, not {self.scheme!r}")
         if not self.dirichlet_alpha > 0:
             raise ValueError("dirichlet_alpha must be > 0")
         if self.min_samples_per_client < 1:
             raise ValueError("min_samples_per_client must be >= 1")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
 
 # Shared class geometry for the built-in recipes: three centers on a
@@ -97,10 +97,14 @@ _BUILTIN_MEANS = 2.0 * np.array(
     ]
 )
 
+# Built once: a recipe is immutable, so every config shares these.
 _BUILTIN = {
-    "medical": dict(mean_shift=(0.4, 0.2), label_prior=(0.60, 0.25, 0.15)),
-    "financial": dict(mean_shift=(-0.3, 0.4), label_prior=(0.20, 0.55, 0.25)),
-    "user": dict(mean_shift=(0.1, -0.5), label_prior=(0.25, 0.20, 0.55)),
+    name: DomainRecipe(name, _BUILTIN_MEANS, 0.8, np.array(mean_shift), np.array(label_prior))
+    for name, mean_shift, label_prior in (
+        ("medical", (0.4, 0.2), (0.60, 0.25, 0.15)),
+        ("financial", (-0.3, 0.4), (0.20, 0.55, 0.25)),
+        ("user", (0.1, -0.5), (0.25, 0.20, 0.55)),
+    )
 }
 
 BUILTIN_RECIPE_NAMES = tuple(_BUILTIN)
@@ -109,18 +113,11 @@ BUILTIN_RECIPE_NAMES = tuple(_BUILTIN)
 def builtin_recipe(name: str) -> DomainRecipe:
     """One of the three bundled domain recipes (feature_dim 2, 3 classes)."""
     try:
-        cfg = _BUILTIN[name]
+        return _BUILTIN[name]
     except KeyError:
         raise ValueError(
             f"unknown builtin recipe {name!r}; choose from {sorted(_BUILTIN)}"
         ) from None
-    return DomainRecipe(
-        domain_id=name,
-        class_means=_BUILTIN_MEANS,
-        class_covariance_scale=0.8,
-        mean_shift=np.array(cfg["mean_shift"]),
-        label_prior=np.array(cfg["label_prior"]),
-    )
 
 
 def synthesize(recipe: DomainRecipe, n: int, seed: int) -> Dataset:
@@ -145,7 +142,7 @@ def _shard_sizes(total: int, parts: int) -> np.ndarray:
     return sizes
 
 
-def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
+def partition(dataset: Dataset, plan: PartitionPlan, client_count: int) -> list[Dataset]:
     """Split ``dataset`` into ``client_count`` disjoint shards covering it.
 
     Every example is assigned to exactly one shard.  Under the dirichlet
@@ -153,28 +150,30 @@ def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
     proportions, redrawn (bounded retries) until every shard reaches
     ``min_samples_per_client``.
     """
+    if client_count < 1:
+        raise ValueError("client_count must be >= 1")
     n = len(dataset)
-    if n < plan.client_count * plan.min_samples_per_client:
+    if n < client_count * plan.min_samples_per_client:
         raise ValueError(
-            f"insufficient samples: {n} < {plan.client_count} clients "
+            f"insufficient samples: {n} < {client_count} clients "
             f"x {plan.min_samples_per_client} min_samples_per_client"
         )
     rng = generator(plan.seed)
     if plan.scheme == SCHEME_IID:
         order = rng.permutation(n)
-        splits = np.split(order, np.cumsum(_shard_sizes(n, plan.client_count))[:-1])
+        splits = np.split(order, np.cumsum(_shard_sizes(n, client_count))[:-1])
         return [dataset.subset(np.sort(idx)) for idx in splits]
 
     # dirichlet_label_skew: per class, deal the (shuffled) index pool out
     # in chunks proportional to a fresh Dirichlet draw per client.
     for _ in range(1000):
-        assigned: list[list[np.ndarray]] = [[] for _ in range(plan.client_count)]
+        assigned: list[list[np.ndarray]] = [[] for _ in range(client_count)]
         for k in range(dataset.class_count):
             pool = np.flatnonzero(dataset.labels == k)
             if len(pool) == 0:
                 continue
             pool = rng.permutation(pool)
-            props = rng.dirichlet(np.full(plan.client_count, plan.dirichlet_alpha))
+            props = rng.dirichlet(np.full(client_count, plan.dirichlet_alpha))
             cuts = (np.cumsum(props)[:-1] * len(pool)).astype(np.int64)
             for client, chunk in enumerate(np.split(pool, cuts)):
                 assigned[client].append(chunk)
@@ -192,15 +191,15 @@ def partition(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column mapping for :func:`load_csv` / :func:`write_csv`."""
+    """Column mapping for :func:`load_csv`."""
 
     feature_columns: tuple[str, ...]
     label_column: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
-        if not self.feature_columns:
-            raise ValueError("feature_columns must be non-empty")
+        if not self.feature_columns or not all(isinstance(c, str) for c in self.feature_columns):
+            raise ValueError("feature_columns must be a non-empty list of strings")
         if self.label_column in self.feature_columns:
             raise ValueError("label_column must not also be a feature column")
 
@@ -258,26 +257,3 @@ def load_csv(path: str, schema: CsvSchema) -> CsvDataset:
     labels = np.array([index[label] for _, label in rows], dtype=np.int64)
     return CsvDataset(Dataset(features, labels, len(label_names)), label_names)
 
-
-def write_csv(
-    path: str,
-    dataset: Dataset,
-    schema: CsvSchema,
-    label_names: tuple[str, ...] | None = None,
-) -> None:
-    """Write a dataset in the :func:`load_csv` format (round-trip safe).
-
-    Floats are written with ``repr`` (shortest round-trip form), so
-    load(write(d)) reproduces the arrays bit-for-bit.
-    """
-    if len(schema.feature_columns) != dataset.feature_dim:
-        raise ValueError("schema feature_columns must match dataset feature_dim")
-    if label_names is None:
-        label_names = tuple(str(k) for k in range(dataset.class_count))
-    if len(label_names) != dataset.class_count:
-        raise ValueError("label_names must have one entry per class")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*schema.feature_columns, schema.label_column])
-        for feats, label in zip(dataset.features, dataset.labels):
-            writer.writerow([*(repr(float(v)) for v in feats), label_names[label]])

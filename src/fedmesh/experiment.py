@@ -11,14 +11,13 @@ started from the same config.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .data import CsvSchema, PartitionPlan, load_csv, partition, synthesize
+from .data import load_csv, partition, synthesize
 from .federation import (
-    POLICY_CUSTOM,
     AggregationPolicy,
     ClientState,
     FederationEngine,
@@ -58,10 +57,7 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     for index, domain in enumerate(config.domains):
         if domain.csv is not None:
             try:
-                loaded = load_csv(
-                    domain.csv.path,
-                    CsvSchema(domain.csv.feature_columns, domain.csv.label_column),
-                )
+                loaded = load_csv(domain.csv.path, domain.csv)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"domains[{index}].csv: {exc}") from None
             full = loaded.dataset
@@ -74,26 +70,23 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
                 full, domain.csv.eval_fraction, derive_seed(config.seed, "csvsplit", index)
             )
         else:
-            train = synthesize(
-                domain.recipe,
-                domain.train_samples,
-                derive_seed(config.seed, "domain", index, "train"),
-            )
-            held_out = synthesize(
-                domain.recipe,
-                domain.eval_samples,
-                derive_seed(config.seed, "domain", index, "eval"),
-            )
+            try:
+                train = synthesize(
+                    domain.recipe,
+                    domain.train_samples,
+                    derive_seed(config.seed, "domain", index, "train"),
+                )
+                held_out = synthesize(
+                    domain.recipe,
+                    domain.eval_samples,
+                    derive_seed(config.seed, "domain", index, "eval"),
+                )
+            except ValueError as exc:  # e.g. a scale so large that the draws overflow
+                raise ConfigError(f"domains[{index}].recipe: {exc}") from None
         eval_sets[domain.tag] = held_out
-        plan = PartitionPlan(
-            client_count=domain.clients,
-            scheme=config.partition.scheme,
-            dirichlet_alpha=config.partition.dirichlet_alpha,
-            min_samples_per_client=config.partition.min_samples_per_client,
-            seed=derive_seed(config.partition.seed, "domain", index),
-        )
+        plan = replace(config.partition, seed=derive_seed(config.partition.seed, "domain", index))
         try:
-            shards = partition(train, plan)
+            shards = partition(train, plan, domain.clients)
         except ValueError as exc:
             raise ConfigError(f"domains[{index}]: {exc}") from None
         for shard in shards:
@@ -114,9 +107,9 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     )
 
     policy = config.policy
-    if config.privacy_derived_weights:
-        weights = derive_privacy_weights(clients, epsilon_cap=config.epsilon_cap)
-        policy = AggregationPolicy(kind=POLICY_CUSTOM, weights=weights)
+    if policy.privacy_derived:
+        weights = derive_privacy_weights(clients, epsilon_cap=policy.epsilon_cap)
+        policy = replace(policy, weights=weights)
 
     return ExperimentSetup(
         clients=clients, eval_sets=eval_sets, pooled_test=pooled_test, policy=policy

@@ -98,18 +98,27 @@ class ClientUpdate:
 
 @dataclass(frozen=True)
 class AggregationPolicy:
-    """How client updates are weighted into the global step."""
+    """How client updates are weighted into the global step.
+
+    ``privacy_derived`` replaces ``weights`` at set-up time by
+    :func:`derive_privacy_weights` under ``epsilon_cap``.
+    """
 
     kind: str = POLICY_UNIFORM
     weights: dict[int, float] | None = None
+    privacy_derived: bool = False
+    epsilon_cap: float = 8.0
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown aggregation policy {self.kind!r}")
-        if self.weights is not None:
-            for cid, w in self.weights.items():
-                if not math.isfinite(w) or w < 0:
-                    raise ValueError(f"weight for client {cid} must be finite and >= 0")
+            raise ValueError(f"kind must be one of {', '.join(POLICY_KINDS)}, not {self.kind!r}")
+        for cid, w in (self.weights or {}).items():
+            if not math.isfinite(w) or w < 0:
+                raise ValueError(f"weights.{cid} must be finite and >= 0")
+        if not self.epsilon_cap > 0:
+            raise ValueError("epsilon_cap must be > 0")
+        if self.privacy_derived and self.kind != POLICY_CUSTOM:
+            raise ValueError(f"privacy_derived only valid with kind {POLICY_CUSTOM}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +265,8 @@ def policy_coefficients(
         else:
             raw[cid] = float(policy.weights[cid])
     total = sum(raw.values())
-    if not total > 0:
-        raise ValueError("zero total weight under the aggregation policy")
+    if not 0 < total < math.inf:
+        raise ValueError(f"total weight must be finite and > 0, not {total!r}")
     return {cid: w / total for cid, w in raw.items()}
 
 
@@ -287,20 +296,6 @@ def _combined_delta(
             raise ValueError("zero total weight under the aggregation policy")
         summed = summed / usable_total
     return summed
-
-
-def aggregate(
-    updates: list[ClientUpdate],
-    policy: AggregationPolicy,
-    global_params: np.ndarray,
-) -> np.ndarray:
-    """Advance the global model by the policy-weighted combination of deltas.
-
-    Updates are sorted by client id before accumulation, so the result is
-    bitwise independent of input order.
-    """
-    coefficients = policy_coefficients(policy, {u.client_id: u.sample_count for u in updates})
-    return global_params + _combined_delta(updates, coefficients)
 
 
 def derive_privacy_weights(

@@ -31,7 +31,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.family != FAMILY_SOFTMAX_LINEAR:
-            raise ValueError(f"unsupported model family: {self.family!r}")
+            raise ValueError(f"family must be {FAMILY_SOFTMAX_LINEAR}, not {self.family!r}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         if self.class_count < 2:

@@ -223,11 +223,6 @@ def _checked_params(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def encode_params(values: np.ndarray) -> bytes:
-    """4-byte big-endian dim, then dim big-endian binary64 values."""
-    return _pack((_PARAMS,), (_checked_params(values),))
-
-
 def encode_hello(config_hash: bytes, count: int) -> bytes:
     if len(config_hash) != 32:
         raise FrameError("config hash must be 32 bytes")

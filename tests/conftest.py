@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -21,6 +22,15 @@ def run_python(args, cwd, timeout=60):
         text=True,
         timeout=timeout,
     )
+
+
+def write_dataset_csv(path, dataset, header, label_names):
+    """Write ``dataset`` as CSV: ``header``, then features in ``repr`` form and a label name."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for feats, label in zip(dataset.features, dataset.labels):
+            writer.writerow([*(repr(float(v)) for v in feats), label_names[label]])
 
 
 @pytest.fixture

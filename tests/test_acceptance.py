@@ -23,7 +23,7 @@ from fedmesh.federation import (
     ClientUpdate,
     FederationEngine,
     TrainingSchedule,
-    aggregate,
+    _combined_delta,
     learning_rate_at,
     policy_coefficients,
 )
@@ -49,7 +49,7 @@ from fedmesh.transport import (
     FederationServer,
     FrameDecoder,
     FrameError,
-    encode_params,
+    encode_global_model,
 )
 
 from conftest import random_instance
@@ -164,10 +164,12 @@ def test_criterion_3_aggregation_algebra():
                 values = np.array([coeffs[cid] for cid in subset])
                 assert np.all(values >= 0), (name, subset)
                 assert abs(values.sum() - 1.0) <= 1e-12, (name, subset)
-                reference = aggregate(updates, policy, theta)
+                counts = {u.client_id: u.sample_count for u in updates}
+                reference = theta + _combined_delta(updates, policy_coefficients(policy, counts))
                 shuffled = list(updates)
                 rng.shuffle(shuffled)
-                assert np.array_equal(aggregate(shuffled, policy, theta), reference)
+                stepped = theta + _combined_delta(shuffled, policy_coefficients(policy, counts))
+                assert np.array_equal(stepped, reference)
                 permutations_checked += 1
             scaled = AggregationPolicy(
                 "custom_weighted", weights={k: 7.3 * w for k, w in weights.items()}
@@ -345,9 +347,13 @@ def test_criterion_9_wire_robustness():
             crashes += 1
     assert crashes == 0
 
-    assert encode_params(np.empty(0)) == bytes.fromhex("00000000")
-    assert encode_params(np.array([1.0])) == bytes.fromhex("000000013ff0000000000000")
-    assert encode_params(np.array([1.0, -2.0])) == bytes.fromhex(
+    # A GLOBAL_MODEL payload opens with the parameter block: u32 dim, then binary64s.
+    def params_block(values):
+        return encode_global_model(values, 0.0, 0, [])[: 4 + 8 * len(values)]
+
+    assert params_block(np.empty(0)) == bytes.fromhex("00000000")
+    assert params_block(np.array([1.0])) == bytes.fromhex("000000013ff0000000000000")
+    assert params_block(np.array([1.0, -2.0])) == bytes.fromhex(
         "000000023ff0000000000000c000000000000000"
     )
     print("\n[criterion 9] PASS decoder fuzz (100000 buffers, 0 crashes) + golden byte vectors")

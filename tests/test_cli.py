@@ -368,6 +368,47 @@ def test_out_of_range_settings_exit_1_in_one_line(tmp_path, command, override):
     assert lines[0].startswith(f"config error: {override.split('.')[0]}")
 
 
+def _inline_domain(**recipe):
+    recipe = {
+        "class_means": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+        "class_covariance_scale": 0.5,
+        "mean_shift": [0.0, 0.0],
+        "label_prior": [0.4, 0.3, 0.3],
+        **recipe,
+    }
+    domain = {"tag": "inline", "recipe": recipe, "train_samples": 40, "eval_samples": 20, "clients": 4}
+    return "domains=" + json.dumps([domain])
+
+
+# Values that validate once let through to a run that crashed, froze or
+# refused them (a non-finite recipe, custom weights whose total overflows,
+# a CSV label column that is also a feature, non-finite floats), or met
+# with a traceback (integers too large for a float or for the JSON parser).
+REFUSED_BY_VALIDATE = [
+    (_inline_domain(class_means=[[1e400, 0.0], [0.0, 1.0], [-1.0, 0.0]]), "domains[0].recipe.class_means"),
+    (_inline_domain(class_covariance_scale=1e400), "domains[0].recipe.class_covariance_scale"),
+    ('policy={"kind": "custom_weighted", "weights": {"0": 1e308, "1": 1e308, "2": 1e308, "3": 1e308}}',
+     "policy.weights"),
+    ('domains=[{"csv": {"path": "absent.csv", "feature_columns": ["f0", "f1"], "label_column": "f0"}, "tag": "f"}]',
+     "domains[0].csv.label_column"),
+    ("policy.epsilon_cap=Infinity", "policy.epsilon_cap"),
+    ("schedule.learning_rate=Infinity", "schedule.learning_rate"),
+    ("schedule.learning_rate=NaN", "schedule.learning_rate"),
+    ("partition.dirichlet_alpha=Infinity", "partition.dirichlet_alpha"),
+    ("schedule.learning_rate=1" + "0" * 400, "schedule.learning_rate"),
+    (_inline_domain(class_means=[[10**400, 0], [0, 1], [-1, 0]]), "domains[0].recipe"),
+    ("seed=" + "1" * 5000, "seed"),
+]
+
+
+@pytest.mark.parametrize("override,key", REFUSED_BY_VALIDATE, ids=[k for _, k in REFUSED_BY_VALIDATE])
+def test_validate_refuses_in_one_line_what_a_run_would_refuse(capsys, override, key):
+    assert main(["validate", "--config", "configs/iid_baseline.cfg", "--override", override]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {key}: ")
+
+
 @pytest.mark.parametrize("count,code", [(65535, 0), (70000, 1)])
 def test_tracked_indices_are_capped_at_the_wire_count(capsys, count, code):
     # A client's tracked values travel under a u16 count.

@@ -123,9 +123,15 @@ def test_custom_weighted_requires_full_weights():
     assert ok.policy.weights == {0: 2.0}
 
 
+def test_csv_domain_sizes_are_checked_though_unused():
+    domain = dict(json.loads(json.dumps(CSV_DOMAIN)), train_samples=0)
+    with pytest.raises(ConfigError, match=re.escape("domains[0].train_samples: must be >= 1")):
+        parse_config(_raw(domains=[domain]))
+
+
 def test_privacy_derived_policy():
     config = parse_config(_raw(policy={"kind": "custom_weighted", "privacy_derived": True}))
-    assert config.privacy_derived_weights
+    assert config.policy.privacy_derived
     with pytest.raises(ConfigError, match="privacy_derived"):
         parse_config(_raw(policy={"kind": "uniform", "privacy_derived": True}))
 

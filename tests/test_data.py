@@ -10,9 +10,10 @@ from fedmesh.data import (
     load_csv,
     partition,
     synthesize,
-    write_csv,
 )
 from fedmesh.model import Dataset
+
+from conftest import write_dataset_csv
 
 
 def test_builtin_recipes_exist():
@@ -55,6 +56,28 @@ def test_all_zero_prior_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("class_means", np.array([[0.0, np.inf], [1.0, 0.0]])),
+        ("mean_shift", np.array([np.nan, 0.0])),
+        ("label_prior", np.array([np.nan, 1.0])),
+        ("class_covariance_scale", np.inf),
+    ],
+)
+def test_non_finite_recipe_rejected(field, value):
+    recipe = dict(
+        domain_id="bad",
+        class_means=np.zeros((2, 2)),
+        class_covariance_scale=1.0,
+        mean_shift=np.zeros(2),
+        label_prior=np.array([0.5, 0.5]),
+    )
+    recipe[field] = value
+    with pytest.raises(ValueError, match=f"^{field} "):
+        DomainRecipe(**recipe)
+
+
 def test_uniform_prior_class_fraction():
     recipe = DomainRecipe(
         domain_id="balanced",
@@ -75,7 +98,7 @@ def _toy_dataset(n=120, k=3, seed=0):
 
 def test_iid_partition_single_client_is_whole_dataset():
     dataset = _toy_dataset()
-    (shard,) = partition(dataset, PartitionPlan(client_count=1, seed=5))
+    (shard,) = partition(dataset, PartitionPlan(seed=5), 1)
     assert np.array_equal(np.sort(shard.labels), np.sort(dataset.labels))
     assert shard.features.shape == dataset.features.shape
 
@@ -83,8 +106,8 @@ def test_iid_partition_single_client_is_whole_dataset():
 @pytest.mark.parametrize("scheme", ["iid", "dirichlet_label_skew"])
 def test_partition_covers_disjointly(scheme):
     dataset = _toy_dataset(n=211)
-    plan = PartitionPlan(client_count=5, scheme=scheme, dirichlet_alpha=0.5, seed=13)
-    shards = partition(dataset, plan)
+    plan = PartitionPlan(scheme=scheme, dirichlet_alpha=0.5, seed=13)
+    shards = partition(dataset, plan, 5)
     assert sum(len(s) for s in shards) == len(dataset)
     # Multiset equality on (feature row, label) tuples proves a true partition.
     def keys(d):
@@ -96,9 +119,9 @@ def test_partition_covers_disjointly(scheme):
 
 def test_partition_deterministic():
     dataset = _toy_dataset()
-    plan = PartitionPlan(client_count=4, scheme="dirichlet_label_skew", dirichlet_alpha=0.3, seed=2)
-    first = partition(dataset, plan)
-    second = partition(dataset, plan)
+    plan = PartitionPlan(scheme="dirichlet_label_skew", dirichlet_alpha=0.3, seed=2)
+    first = partition(dataset, plan, 4)
+    second = partition(dataset, plan, 4)
     for a, b in zip(first, second):
         assert np.array_equal(a.features, b.features)
 
@@ -106,7 +129,12 @@ def test_partition_deterministic():
 def test_partition_insufficient_samples():
     dataset = _toy_dataset(n=10)
     with pytest.raises(ValueError, match="insufficient"):
-        partition(dataset, PartitionPlan(client_count=4, min_samples_per_client=5))
+        partition(dataset, PartitionPlan(min_samples_per_client=5), 4)
+
+
+def test_partition_needs_a_client():
+    with pytest.raises(ValueError, match="client_count must be >= 1"):
+        partition(_toy_dataset(), PartitionPlan(), 0)
 
 
 def _label_skew(shards, k):
@@ -126,11 +154,13 @@ def test_dirichlet_alpha_controls_skew():
     for seed in range(20):
         small = partition(
             dataset,
-            PartitionPlan(client_count=4, scheme="dirichlet_label_skew", dirichlet_alpha=0.1, seed=seed),
+            PartitionPlan(scheme="dirichlet_label_skew", dirichlet_alpha=0.1, seed=seed),
+            4,
         )
         large = partition(
             dataset,
-            PartitionPlan(client_count=4, scheme="dirichlet_label_skew", dirichlet_alpha=100.0, seed=seed),
+            PartitionPlan(scheme="dirichlet_label_skew", dirichlet_alpha=100.0, seed=seed),
+            4,
         )
         skew_small.append(_label_skew(small, 3))
         skew_large.append(_label_skew(large, 3))
@@ -141,15 +171,11 @@ def test_csv_round_trip(tmp_path):
     dataset = _toy_dataset(n=37, seed=8)
     schema = CsvSchema(feature_columns=("x0", "x1"), label_column="label")
     path = tmp_path / "data.csv"
-    write_csv(str(path), dataset, schema, label_names=("alpha", "beta", "gamma"))
+    write_dataset_csv(path, dataset, ("x0", "x1", "label"), ("alpha", "beta", "gamma"))
     loaded = load_csv(str(path), schema)
     assert np.array_equal(loaded.dataset.features, dataset.features)
     assert np.array_equal(loaded.dataset.labels, dataset.labels)
     assert loaded.label_names == ("alpha", "beta", "gamma")
-    # Second trip is byte-stable too.
-    path2 = tmp_path / "again.csv"
-    write_csv(str(path2), loaded.dataset, schema, label_names=loaded.label_names)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_csv_three_rows(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fedmesh.config import ConfigError, parse_config
-from fedmesh.data import CsvSchema, write_csv
 from fedmesh.experiment import build_engine, build_setup
 from fedmesh.model import Dataset
+
+from conftest import write_dataset_csv
 
 
 def _base_raw(**updates):
@@ -67,7 +68,7 @@ def _write_csv_domain(tmp_path, n=90, k=3, seed=1):
     rng = np.random.default_rng(seed)
     dataset = Dataset(rng.normal(0, 1, (n, 2)), rng.integers(0, k, n), k)
     path = tmp_path / "domain.csv"
-    write_csv(str(path), dataset, CsvSchema(("f0", "f1"), "label"))
+    write_dataset_csv(path, dataset, ("f0", "f1", "label"), [str(c) for c in range(k)])
     return path, dataset
 
 

@@ -12,7 +12,7 @@ from fedmesh.federation import (
     FederationAbort,
     FederationEngine,
     TrainingSchedule,
-    aggregate,
+    _combined_delta,
     centralized_descent,
     derive_privacy_weights,
     learning_rate_at,
@@ -38,6 +38,12 @@ def _update(cid, delta, samples=1, diverged=False):
         receipt=RECEIPT,
         diverged=diverged,
     )
+
+
+def _aggregate(updates, policy, theta):
+    """The global step of a round over ``updates``, from ``theta``."""
+    counts = {u.client_id: u.sample_count for u in updates}
+    return theta + _combined_delta(updates, policy_coefficients(policy, counts))
 
 
 def _client(cid, tag="medical", n=120, seed=None, budget=NO_DP):
@@ -152,13 +158,13 @@ def test_identical_deltas_move_global_by_delta():
         AggregationPolicy("custom_weighted", weights={0: 1.0, 1: 2.0, 2: 3.0}),
     ):
         updates = [_update(cid, delta, samples=cid + 1) for cid in range(3)]
-        out = aggregate(updates, policy, theta)
+        out = _aggregate(updates, policy, theta)
         np.testing.assert_allclose(out, theta + delta, rtol=1e-12)
 
 
 def test_size_weighted_hand_example():
     updates = [_update(0, [2.0, 0.0], samples=1), _update(1, [0.0, 2.0], samples=3)]
-    out = aggregate(updates, AggregationPolicy("size_weighted"), np.zeros(2))
+    out = _aggregate(updates, AggregationPolicy("size_weighted"), np.zeros(2))
     np.testing.assert_allclose(out, [0.5, 1.5], rtol=1e-15)
 
 
@@ -187,10 +193,10 @@ def test_aggregate_permutation_invariant_bitwise():
     rng = np.random.default_rng(9)
     updates = [_update(cid, rng.normal(0, 1, 5), samples=cid + 2) for cid in range(5)]
     theta = rng.normal(0, 1, 5)
-    reference = aggregate(updates, AggregationPolicy("size_weighted"), theta)
+    reference = _aggregate(updates, AggregationPolicy("size_weighted"), theta)
     for _ in range(10):
         rng.shuffle(updates)
-        assert np.array_equal(aggregate(updates, AggregationPolicy("size_weighted"), theta), reference)
+        assert np.array_equal(_aggregate(updates, AggregationPolicy("size_weighted"), theta), reference)
 
 
 def test_custom_weight_scaling_invariance():
@@ -214,22 +220,22 @@ def test_flagged_updates_excluded_and_renormalized():
         _update(1, [0.0, 1.0], samples=10, diverged=True),
         _update(2, [3.0, 0.0], samples=30),
     ]
-    out = aggregate(updates, AggregationPolicy("size_weighted"), np.zeros(2))
+    out = _aggregate(updates, AggregationPolicy("size_weighted"), np.zeros(2))
     # Only clients 0 and 2 count: weights 10/40 and 30/40.
     np.testing.assert_allclose(out, [0.25 * 1.0 + 0.75 * 3.0, 0.0], rtol=1e-12)
 
 
 def test_aggregate_errors():
     with pytest.raises(ValueError, match="no non-flagged"):
-        aggregate([_update(0, [1.0], diverged=True)], AggregationPolicy(), np.zeros(1))
-    with pytest.raises(ValueError, match="zero total weight"):
-        aggregate(
+        _aggregate([_update(0, [1.0], diverged=True)], AggregationPolicy(), np.zeros(1))
+    with pytest.raises(ValueError, match="total weight must be finite and > 0"):
+        _aggregate(
             [_update(0, [1.0])],
             AggregationPolicy("custom_weighted", weights={0: 0.0}),
             np.zeros(1),
         )
     with pytest.raises(ValueError, match="missing a weight"):
-        aggregate(
+        _aggregate(
             [_update(0, [1.0])],
             AggregationPolicy("custom_weighted", weights={1: 1.0}),
             np.zeros(1),
@@ -368,7 +374,7 @@ def test_flagged_client_renormalizes_alike_in_plain_and_secure_rounds():
     plain, masked = build(False), build(True)
     # The two remaining clients form a convex combination on their own.
     survivors = [plain.run_local(cid, 0) for cid in (0, 2)]
-    expected = aggregate(survivors, AggregationPolicy("size_weighted"), plain.params)
+    expected = _aggregate(survivors, AggregationPolicy("size_weighted"), plain.params)
     plain_report = plain.run_round()
     masked.run_round()
     assert [r.diverged for r in plain_report.clients] == [False, True, False]
@@ -382,6 +388,15 @@ def test_all_flagged_round_aborts(secure):
     engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=secure)
     _flagging(engine, {0, 1, 2})
     with pytest.raises(FederationAbort, match="no non-flagged"):
+        engine.run_round()
+
+
+def test_custom_weights_whose_total_overflows_abort_the_round():
+    # Each weight is finite, but their sum is inf: every coefficient would be 0.
+    clients = [_client(i) for i in range(2)]
+    policy = AggregationPolicy("custom_weighted", weights={0: 1e308, 1: 1e308})
+    engine = _engine(clients, TrainingSchedule(rounds=1), policy=policy)
+    with pytest.raises(FederationAbort, match="round 0: total weight must be finite and > 0, not inf"):
         engine.run_round()
 
 

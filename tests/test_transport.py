@@ -39,7 +39,6 @@ from fedmesh.transport import (
     encode_hello,
     encode_masked_share,
     encode_notice,
-    encode_params,
     encode_round_summary,
     _pack,
     _unpack,
@@ -55,14 +54,19 @@ def _config(extra=()):
 # -- params codec -------------------------------------------------------------
 
 
-def test_encode_params_empty_vector():
-    assert encode_params(np.empty(0)) == b"\x00\x00\x00\x00"
+def _params_block(values):
+    """The parameter block that opens a GLOBAL_MODEL payload."""
+    return encode_global_model(values, 0.0, 0, [])[: 4 + 8 * len(values)]
 
 
-def test_encode_params_golden_bytes():
-    assert encode_params(np.array([1.0])) == bytes.fromhex("000000013ff0000000000000")
+def test_params_block_empty_vector():
+    assert _params_block(np.empty(0)) == b"\x00\x00\x00\x00"
+
+
+def test_params_block_golden_bytes():
+    assert _params_block(np.array([1.0])) == bytes.fromhex("000000013ff0000000000000")
     # -2.0 and a subnormal-free small value, spot-checking endianness.
-    assert encode_params(np.array([-2.0])) == bytes.fromhex("00000001c000000000000000")
+    assert _params_block(np.array([-2.0])) == bytes.fromhex("00000001c000000000000000")
 
 
 def test_params_round_trip_bitwise():
@@ -73,9 +77,9 @@ def test_params_round_trip_bitwise():
         assert decoded.tobytes() == values.tobytes()
 
 
-def test_encode_params_rejects_non_finite():
+def test_params_block_rejects_non_finite():
     with pytest.raises(FrameError):
-        encode_params(np.array([np.inf]))
+        _params_block(np.array([np.inf]))
 
 
 def test_decode_global_model_truncated_params():
@@ -275,7 +279,7 @@ PAYLOAD_DECODERS = {
 # metadata tail's worth (41 bytes) of arbitrary bytes, so the update
 # decoders get past the vector checks as often as not.
 _WIRE_BYTES = st.binary(max_size=200) | st.builds(
-    lambda dim, tail: encode_params(np.zeros(dim)) + tail,
+    lambda dim, tail: dim.to_bytes(4, "big") + bytes(8 * dim) + tail,
     st.integers(0, 3),
     st.binary(min_size=41, max_size=120),
 )
