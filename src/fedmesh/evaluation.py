@@ -60,10 +60,13 @@ def confusion(spec: ModelSpec, params: np.ndarray, test: Dataset) -> np.ndarray:
     params = check_params(spec, params)
     if test.feature_dim != spec.feature_dim or test.class_count != spec.class_count:
         raise ValueError("test dataset does not match the model spec")
-    predicted = predict_classes(spec, params, test.features)
-    counts = np.zeros((spec.class_count, spec.class_count), dtype=np.int64)
-    np.add.at(counts, (test.labels, predicted), 1)
-    return counts
+    return count_predictions(spec.class_count, test.labels, predict_classes(spec, params, test.features))
+
+
+def count_predictions(class_count: int, labels: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """K x K count matrix of true ``labels`` (rows) against ``predicted`` (columns)."""
+    cells = np.bincount(labels * class_count + predicted, minlength=class_count * class_count)
+    return cells.reshape(class_count, class_count)
 
 
 def metrics(counts: np.ndarray) -> MetricsReport:

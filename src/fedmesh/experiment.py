@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,14 @@ class ExperimentSetup:
     """Materialized data and client states for one experiment."""
 
     clients: list[ClientState]
-    eval_sets: dict[str, Dataset]
-    pooled_test: Dataset
+    eval_sets: dict[str, Dataset]  # in config domain order
     policy: AggregationPolicy
+    class_count: int
+
+    @cached_property
+    def pooled_test(self) -> Dataset:
+        """Every domain's eval set, joined in domain order."""
+        return Dataset.join(self.eval_sets.values(), self.class_count)
 
 
 def _split_csv_domain(dataset: Dataset, eval_fraction: float, seed: int):
@@ -100,19 +106,13 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
             )
             next_id += 1
 
-    pooled_test = Dataset(
-        np.concatenate([eval_sets[d.tag].features for d in config.domains]),
-        np.concatenate([eval_sets[d.tag].labels for d in config.domains]),
-        config.model.class_count,
-    )
-
     policy = config.policy
     if policy.privacy_derived:
         weights = derive_privacy_weights(clients, epsilon_cap=policy.epsilon_cap)
         policy = replace(policy, weights=weights)
 
     return ExperimentSetup(
-        clients=clients, eval_sets=eval_sets, pooled_test=pooled_test, policy=policy
+        clients=clients, eval_sets=eval_sets, policy=policy, class_count=config.model.class_count
     )
 
 
@@ -127,18 +127,13 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
         secure_aggregation=config.secure_aggregation,
         scale_bits=config.scale_bits,
         eval_sets=setup.eval_sets,
-        pooled_test=setup.pooled_test,
         tracked_indices=config.tracked_indices,
     )
 
 
 def pooled_training_data(setup: ExperimentSetup, class_count: int) -> Dataset:
     """All client shards concatenated (client id order) for the baseline."""
-    return Dataset(
-        np.concatenate([c.data.features for c in setup.clients]),
-        np.concatenate([c.data.labels for c in setup.clients]),
-        class_count,
-    )
+    return Dataset.join((c.data for c in setup.clients), class_count)
 
 
 def baseline_rounds(config: ExperimentConfig):

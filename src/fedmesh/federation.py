@@ -28,13 +28,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# ``evaluate`` is not called here; it stays importable from this module for
+# tools that hook the engine's layers by name.
 from .evaluation import (
     ClientRoundRecord,
     RoundReport,
-    evaluate,
+    count_predictions,
+    evaluate,  # noqa: F401
+    metrics,
     trace_parameters,
 )
-from .model import Dataset, ModelSpec, gradient, init_params, loss, param_dim
+from .model import (
+    Dataset,
+    ModelSpec,
+    check_dataset,
+    check_params,
+    gradient,
+    init_params,
+    loss,
+    mean_loss,
+    param_dim,
+    row_losses,
+    step,
+)
 from .privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget, privatize
 from .rng import derive_seed, generator
 from .secure_sum import (
@@ -159,32 +175,50 @@ def _descent_epochs(
     epochs: int,
     lr: float,
     batch_size: int | None,
-    shuffle_seed: int,
-) -> np.ndarray:
-    """Plain gradient descent for ``epochs`` passes; returns new parameters.
+    run_seed: int,
+    shuffle_id: int,
+    round_index: int,
+    with_loss: bool = False,
+) -> tuple[np.ndarray, float | None]:
+    """Plain gradient descent for ``epochs`` passes from checked ``params`` and ``dataset``.
 
-    Returns a non-finite array as-is when a step diverges; callers decide
-    how to flag it.
+    Returns the new parameters, non-finite as-is when a step diverges
+    (callers decide how to flag it), and, ``with_loss``, the loss at
+    ``params`` (``None`` otherwise).  Full batch takes that loss from the
+    first step's logits.  Minibatches are shuffled by the stream of
+    ``(run_seed, "shuffle", shuffle_id, round_index)``.
     """
-    theta = params.copy()
+    x, y = dataset.features, dataset.labels
+    theta, start_loss = params, None
+    full_batch = batch_size is None or batch_size >= len(y)
+    if with_loss:
+        # Outside the errstate below, so this loss warns as loss() does.
+        if full_batch:
+            grad, start_loss = step(spec, theta, x, y, with_loss=True)
+        else:
+            start_loss = mean_loss(spec, theta, row_losses(spec, theta, x, y)[0])
     # Overflow in a step is the divergence signal handled by the caller,
     # not a numerical surprise worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if batch_size is None or batch_size >= len(dataset):
-            for _ in range(epochs):
-                theta = theta - lr * gradient(spec, theta, dataset)
+        if full_batch:
+            for epoch in range(epochs):
+                # Later steps go through gradient(), the name that step
+                # timers hook; it checks theta, which is finite here.
+                if epoch or not with_loss:
+                    grad = gradient(spec, theta, dataset)
+                theta = theta - lr * grad
                 if not np.all(np.isfinite(theta)):
-                    return theta
+                    break
         else:
-            rng = generator(shuffle_seed)
+            rng = generator(derive_seed(run_seed, "shuffle", shuffle_id, round_index))
             for _ in range(epochs):
-                order = rng.permutation(len(dataset))
+                order = rng.permutation(len(y))
                 for start in range(0, len(order), batch_size):
-                    batch = dataset.subset(order[start : start + batch_size])
-                    theta = theta - lr * gradient(spec, theta, batch)
+                    rows = order[start : start + batch_size]
+                    theta = theta - lr * step(spec, theta, x[rows], y[rows])[0]
                     if not np.all(np.isfinite(theta)):
-                        return theta
-    return theta
+                        return theta, start_loss
+    return theta, start_loss
 
 
 def local_train(
@@ -202,16 +236,19 @@ def local_train(
     non-finite trajectory yields a flagged (diverged) update carrying a
     zero delta, which aggregation excludes.
     """
-    lr = learning_rate_at(schedule, round_index)
-    loss_before = loss(spec, global_params, client.data)
-    theta = _descent_epochs(
+    global_params = check_params(spec, global_params)
+    check_dataset(spec, client.data)
+    theta, loss_before = _descent_epochs(
         spec,
         client.data,
         global_params,
         schedule.local_epochs,
-        lr,
+        learning_rate_at(schedule, round_index),
         schedule.batch_size,
-        derive_seed(run_seed, "shuffle", client.client_id, round_index),
+        run_seed,
+        client.client_id,
+        round_index,
+        with_loss=True,
     )
     if not np.all(np.isfinite(theta)):
         log.warning(
@@ -351,7 +388,6 @@ class FederationEngine:
         secure_aggregation: bool = False,
         scale_bits: int = 24,
         eval_sets: dict[str, Dataset],
-        pooled_test: Dataset,
         tracked_indices: tuple[int, ...] = (),
     ):
         if not clients:
@@ -363,6 +399,10 @@ class FederationEngine:
         for client in clients:
             if client.data.feature_dim != spec.feature_dim:
                 raise ValueError(f"client {client.client_id} data does not match the model spec")
+        if not eval_sets:
+            raise ValueError("a federation needs at least one eval set")
+        for dataset in eval_sets.values():
+            check_dataset(spec, dataset)
         if any(i >= dim for i in tracked_indices):
             raise ValueError("tracked index out of range for the model")
         if policy.kind == POLICY_CUSTOM and policy.weights is None:
@@ -375,7 +415,7 @@ class FederationEngine:
         self.secure_aggregation = secure_aggregation
         self.codec = FixedPointCodec(scale_bits)
         self.eval_sets = dict(eval_sets)
-        self.pooled_test = pooled_test
+        self.pooled_test = Dataset.join(self.eval_sets.values(), spec.class_count)
         self.tracked_indices = tuple(int(i) for i in tracked_indices)
         self.params = init_params(spec)
         self.round_index = 0
@@ -392,6 +432,8 @@ class FederationEngine:
         """Seeded choice of ceil(fraction * N) clients, returned sorted."""
         ids = sorted(self.clients)
         count = math.ceil(self.schedule.participation_fraction * len(ids))
+        if count == len(ids):
+            return ids
         rng = generator(derive_seed(self.run_seed, "participation", round_index))
         chosen = rng.permutation(np.asarray(ids))[:count]
         return sorted(int(c) for c in chosen)
@@ -481,12 +523,17 @@ class FederationEngine:
     # -- reporting ---------------------------------------------------------
 
     def _build_report(self, inputs: RoundInputs) -> RoundReport:
-        domain_losses = {
-            tag: loss(self.spec, self.params, dataset)
-            for tag, dataset in sorted(self.eval_sets.items())
+        params = check_params(self.spec, self.params)
+        scored = {
+            tag: row_losses(self.spec, params, dataset.features, dataset.labels)
+            for tag, dataset in self.eval_sets.items()
         }
-        global_loss = loss(self.spec, self.params, self.pooled_test)
-        global_metrics = evaluate(self.spec, self.params, self.pooled_test)
+        domain_losses = {tag: mean_loss(self.spec, params, scored[tag][0]) for tag in sorted(scored)}
+        # pooled_test is the eval sets joined in this order, so its rows are these.
+        global_loss = mean_loss(self.spec, params, np.concatenate([ce for ce, _ in scored.values()]))
+        predicted = np.concatenate([np.argmax(logits, axis=1) for _, logits in scored.values()])
+        counts = count_predictions(self.spec.class_count, self.pooled_test.labels, predicted)
+        global_metrics = metrics(counts)
 
         by_update = {u.client_id: u for u in inputs.updates}
         tracked: dict[str, tuple[float, ...]] = {}
@@ -548,16 +595,19 @@ def centralized_descent(
     Uses client 0's shuffle stream, so a one-client federation with
     privacy disabled follows this trajectory step for step.
     """
+    check_dataset(spec, dataset)
     theta = init_params(spec)
     for t in range(schedule.rounds):
-        theta = _descent_epochs(
+        theta, _ = _descent_epochs(
             spec,
             dataset,
             theta,
             schedule.local_epochs,
             learning_rate_at(schedule, t),
             schedule.batch_size,
-            derive_seed(run_seed, "shuffle", 0, t),
+            run_seed,
+            0,
+            t,
         )
         if not np.all(np.isfinite(theta)):
             raise FederationAbort(f"centralized training diverged in round {t}")

@@ -13,6 +13,7 @@ this fixed order.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,16 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.class_count)
 
+    @classmethod
+    def join(cls, parts, class_count: int) -> "Dataset":
+        """The rows of ``parts``, in the order given, as one dataset."""
+        parts = list(parts)
+        return cls(
+            np.concatenate([p.features for p in parts]),
+            np.concatenate([p.labels for p in parts]),
+            class_count,
+        )
+
 
 def param_dim(spec: ModelSpec) -> int:
     """Total parameter count: class_count * (feature_dim + 1)."""
@@ -116,7 +127,8 @@ def predict_classes(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -
     return np.argmax(batch_logits(spec, params, features), axis=1)
 
 
-def _check_dataset(spec: ModelSpec, dataset: Dataset) -> None:
+def check_dataset(spec: ModelSpec, dataset: Dataset) -> None:
+    """Raise ``ValueError`` unless ``dataset`` has the spec's feature and class counts."""
     if dataset.feature_dim != spec.feature_dim:
         raise ValueError(
             f"dataset feature_dim {dataset.feature_dim} != spec feature_dim {spec.feature_dim}"
@@ -127,6 +139,75 @@ def _check_dataset(spec: ModelSpec, dataset: Dataset) -> None:
         )
 
 
+def _logits_pass(spec: ModelSpec, params: np.ndarray, features: np.ndarray):
+    """Logits, their row maxima, the max-shifted exponentials and their row sums."""
+    logits = batch_logits(spec, params, features)
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    exps = np.exp(logits - zmax)
+    return logits, zmax, exps, np.add.reduce(exps, axis=1, keepdims=True)
+
+
+def _cross_entropy(logits, zmax, sums, labels) -> np.ndarray:
+    """Per-row log-sum-exp minus the true class's logit."""
+    return zmax[:, 0] + np.log(sums[:, 0]) - logits[np.arange(len(labels)), labels]
+
+
+def mean_loss(spec: ModelSpec, params: np.ndarray, cross_entropy: np.ndarray) -> float:
+    """:func:`loss` from its per-row cross-entropy: the mean plus the l2 term."""
+    value = float(np.add.reduce(cross_entropy) / len(cross_entropy))
+    if spec.l2_coefficient > 0.0:
+        weights, _ = unpack(spec, params)
+        value += 0.5 * spec.l2_coefficient * float(np.add.reduce(weights * weights, axis=None))
+    return value
+
+
+def row_losses(spec: ModelSpec, params: np.ndarray, features: np.ndarray, labels: np.ndarray):
+    """Per-row cross-entropy and the logits it came from, from one logits pass.
+
+    Inputs are taken as checked, as :func:`loss` checks them.
+    """
+    logits, zmax, _, sums = _logits_pass(spec, params, features)
+    return _cross_entropy(logits, zmax, sums, labels), logits
+
+
+def step(
+    spec: ModelSpec,
+    params: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    with_loss: bool = False,
+) -> tuple[np.ndarray, float | None]:
+    """The gradient of :func:`loss` at ``params`` over the given rows, and the loss there.
+
+    One logits pass serves both; the loss is computed only ``with_loss``
+    (``None`` otherwise).  Inputs are taken as checked, as :func:`gradient`
+    checks them.
+
+    ``with_loss`` serves the first step of a descent: the logits and the
+    loss warn under the caller's floating-point error state, as
+    :func:`loss` does, while the rest of the gradient ignores overflow and
+    invalid values, as every later step of the descent does.
+    """
+    logits, zmax, probs, sums = _logits_pass(spec, params, features)
+    value = None
+    quiet = contextlib.nullcontext()
+    if with_loss:
+        value = mean_loss(spec, params, _cross_entropy(logits, zmax, sums, labels))
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        n = len(labels)
+        probs /= sums
+        probs[np.arange(n), labels] -= 1.0
+        probs /= n
+        grad = np.empty_like(params).reshape(spec.class_count, spec.feature_dim + 1)
+        grad[:, : spec.feature_dim] = probs.T @ features
+        grad[:, spec.feature_dim] = np.add.reduce(probs, axis=0)
+        if spec.l2_coefficient > 0.0:
+            weights, _ = unpack(spec, params)
+            grad[:, : spec.feature_dim] += spec.l2_coefficient * weights
+    return grad.ravel(), value
+
+
 def loss(spec: ModelSpec, params: np.ndarray, dataset: Dataset) -> float:
     """Mean cross-entropy plus (l2/2) * ||weights||^2; biases unregularized.
 
@@ -134,33 +215,12 @@ def loss(spec: ModelSpec, params: np.ndarray, dataset: Dataset) -> float:
     finite parameters.
     """
     params = check_params(spec, params)
-    _check_dataset(spec, dataset)
-    logits = batch_logits(spec, params, dataset.features)
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    n = len(dataset)
-    ce = float(np.mean(lse - logits[np.arange(n), dataset.labels]))
-    if spec.l2_coefficient > 0.0:
-        weights, _ = unpack(spec, params)
-        ce += 0.5 * spec.l2_coefficient * float(np.sum(weights * weights))
-    return ce
+    check_dataset(spec, dataset)
+    return mean_loss(spec, params, row_losses(spec, params, dataset.features, dataset.labels)[0])
 
 
 def gradient(spec: ModelSpec, params: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Exact analytic gradient of :func:`loss`, packed like the parameters."""
     params = check_params(spec, params)
-    _check_dataset(spec, dataset)
-    logits = batch_logits(spec, params, dataset.features)
-    zmax = logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
-    n = len(dataset)
-    probs[np.arange(n), dataset.labels] -= 1.0
-    probs /= n
-    grad = np.empty_like(params).reshape(spec.class_count, spec.feature_dim + 1)
-    grad[:, : spec.feature_dim] = probs.T @ dataset.features
-    grad[:, spec.feature_dim] = probs.sum(axis=0)
-    if spec.l2_coefficient > 0.0:
-        weights, _ = unpack(spec, params)
-        grad[:, : spec.feature_dim] += spec.l2_coefficient * weights
-    return grad.ravel()
+    check_dataset(spec, dataset)
+    return step(spec, params, dataset.features, dataset.labels)[0]

@@ -119,6 +119,10 @@ def add_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
         raise ValueError("cannot add noise to non-finite values")
     if sigma == 0.0:
         return values
+    return _noised(values, sigma, seed)
+
+
+def _noised(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     return values + generator(seed).normal(0.0, sigma, size=values.shape)
 
 
@@ -137,7 +141,8 @@ def privatize(
         return values, receipt
     clipped, applied, pre_norm = clip(values, budget.clip_norm)
     sigma = calibrate_sigma(budget)
-    noised = add_noise(clipped, sigma, seed)
+    # clip() has checked finiteness, and an enabled budget's sigma is > 0.
+    noised = _noised(clipped, sigma, seed)
     receipt = NoiseReceipt(
         sigma=sigma,
         clip_applied=applied,

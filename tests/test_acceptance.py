@@ -115,8 +115,9 @@ def test_criterion_2_one_client_oracle():
         AggregationPolicy(),
         run_seed=1234,
         eval_sets={"medical": held_out},
-        pooled_test=held_out,
     )
+    assert np.array_equal(engine.pooled_test.features, held_out.features)
+    assert np.array_equal(engine.pooled_test.labels, held_out.labels)
     # Independent oracle: plain full-batch descent, round-grouped lr decay.
     theta = init_params(spec)
     for t in range(schedule.rounds):

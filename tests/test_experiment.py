@@ -1,13 +1,19 @@
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.config import ConfigError, parse_config
+from fedmesh.evaluation import evaluate
 from fedmesh.experiment import build_engine, build_setup
-from fedmesh.model import Dataset
+from fedmesh.federation import RoundInputs
+from fedmesh.model import Dataset, loss, param_dim
 
-from conftest import write_dataset_csv
+from conftest import ROOT, write_dataset_csv
 
 
 def _base_raw(**updates):
@@ -138,3 +144,95 @@ def test_csv_config_round_trips_canonically(tmp_path):
     config = parse_config(raw)
     text = canonical_text(config)
     assert canonical_text(parse_config(json.loads(text))) == text
+
+
+# -- the one-pass round report -------------------------------------------------
+
+
+def _scaled_raw():
+    """64 clients in 4 synthetic domains of 16, d=32, K=10, 500 eval rows each."""
+    rng = np.random.default_rng(2024)
+    means = rng.normal(0.0, 0.45, (10, 32))
+    domains = [
+        {
+            "tag": f"domain{i}",
+            "recipe": {
+                "class_means": means.tolist(),
+                "class_covariance_scale": 1.0,
+                "mean_shift": rng.normal(0.0, 0.5, 32).tolist(),
+                "label_prior": rng.dirichlet(np.full(10, 4.0)).tolist(),
+            },
+            "train_samples": 3200,
+            "eval_samples": 500,
+            "clients": 16,
+        }
+        for i in range(4)
+    ]
+    return {
+        "seed": 11,
+        "model": {"feature_dim": 32, "class_count": 10},
+        "domains": domains,
+        "schedule": {"rounds": 2, "local_epochs": 5},
+        "policy": {"kind": "size_weighted"},
+        "privacy": {"enabled": True, "epsilon": 8.0, "delta": 1e-5, "clip_norm": 1.0},
+        "secure_aggregation": True,
+        "tracked_indices": [0, 1, 5],
+    }
+
+
+@functools.cache
+def _trained_engine(name):
+    if name == "scaled":
+        raw = _scaled_raw()
+    else:
+        raw = json.loads((ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8"))
+        raw["schedule"]["rounds"] = 2
+    engine = build_engine(parse_config(raw))
+    engine.run()
+    return engine
+
+
+def _assert_report_is_loss_and_evaluate(engine, report, spec, params):
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    pooled = engine.pooled_test
+    assert list(report.domain_losses) == sorted(engine.eval_sets)
+    for tag, dataset in engine.eval_sets.items():
+        assert bits(report.domain_losses[tag]) == bits(loss(spec, params, dataset))
+    assert bits(report.global_loss) == bits(loss(spec, params, pooled))
+    want = evaluate(spec, params, pooled)
+    assert [bits(v) for v in dataclasses.astuple(report.global_metrics)] == [
+        bits(v) for v in dataclasses.astuple(want)
+    ]
+
+
+@pytest.mark.parametrize("name", ["three_domains", "iid_baseline", "scaled"])
+def test_trained_rounds_report_loss_and_evaluate_on_pooled_test(name):
+    engine = _trained_engine(name)
+    if name == "three_domains":  # the report lists tags sorted; the join keeps config order
+        assert list(engine.eval_sets) == ["medical", "financial", "user"]
+    pooled = engine.pooled_test
+    assert np.array_equal(pooled.labels, np.concatenate([e.labels for e in engine.eval_sets.values()]))
+    assert np.array_equal(pooled.features, np.concatenate([e.features for e in engine.eval_sets.values()]))
+    _assert_report_is_loss_and_evaluate(engine, engine.reports[-1], engine.spec, engine.params)
+
+
+@pytest.mark.parametrize("name", ["three_domains", "iid_baseline", "scaled"])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 0.1, 3.0, 1e3]),
+    l2=st.sampled_from([0.0, 0.25]),
+)
+def test_one_pass_report_is_bitwise_loss_and_evaluate_on_pooled_test(name, seed, scale, l2):
+    engine = _trained_engine(name)
+    spec = dataclasses.replace(engine.spec, l2_coefficient=l2)
+    params = np.random.default_rng(seed).normal(0.0, 1.0, param_dim(spec)) * scale
+    saved = engine.spec, engine.params
+    engine.spec, engine.params = spec, params
+    try:
+        report = engine._build_report(RoundInputs(0, [], {}))
+    finally:
+        engine.spec, engine.params = saved
+    _assert_report_is_loss_and_evaluate(engine, report, spec, params)

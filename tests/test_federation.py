@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+import fedmesh.federation
 from fedmesh.data import builtin_recipe, synthesize
 from fedmesh.federation import (
     AggregationPolicy,
@@ -13,13 +16,14 @@ from fedmesh.federation import (
     FederationEngine,
     TrainingSchedule,
     _combined_delta,
+    _descent_epochs,
     centralized_descent,
     derive_privacy_weights,
     learning_rate_at,
     local_train,
     policy_coefficients,
 )
-from fedmesh.model import Dataset, ModelSpec, gradient, init_params, loss
+from fedmesh.model import ModelSpec, gradient, init_params, loss, param_dim
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
 
 SPEC = ModelSpec(feature_dim=2, class_count=3)
@@ -53,21 +57,20 @@ def _client(cid, tag="medical", n=120, seed=None, budget=NO_DP):
 
 def _engine(clients, schedule, policy=None, run_seed=42, **kwargs):
     eval_sets = {tag: synthesize(builtin_recipe(tag), 90, 900) for tag in {c.domain_tag for c in clients}}
-    pooled = Dataset(
-        np.concatenate([e.features for e in eval_sets.values()]),
-        np.concatenate([e.labels for e in eval_sets.values()]),
-        3,
-    )
-    return FederationEngine(
+    engine = FederationEngine(
         SPEC,
         clients,
         schedule,
         policy or AggregationPolicy(),
         run_seed,
         eval_sets=eval_sets,
-        pooled_test=pooled,
         **kwargs,
     )
+    pooled = engine.pooled_test
+    assert np.array_equal(pooled.features, np.concatenate([e.features for e in eval_sets.values()]))
+    assert np.array_equal(pooled.labels, np.concatenate([e.labels for e in eval_sets.values()]))
+    assert pooled.class_count == 3
+    return engine
 
 
 # -- schedules and learning rate ---------------------------------------------
@@ -134,6 +137,18 @@ def test_local_train_minibatch_deterministic():
     assert not np.array_equal(a.delta, c.delta)
 
 
+def test_local_train_minibatch_trajectory_is_pinned():
+    # Bytes taken when each minibatch was a validated Dataset.subset and the
+    # shuffle seed was derived by local_train.
+    reg_spec = ModelSpec(feature_dim=2, class_count=3, l2_coefficient=0.01)
+    schedule = TrainingSchedule(rounds=5, local_epochs=2, batch_size=16)
+    update = local_train(_client(4), init_params(reg_spec), schedule, reg_spec, 3, run_seed=5)
+    assert hashlib.sha256(update.delta.tobytes()).hexdigest() == (
+        "d14e522428f30af75362156fdeb25e223d17370fd77f6903b2318c400ab7bd7f"
+    )
+    assert (update.loss_before, update.loss_after) == (1.0986122886681096, 0.3164765888328228)
+
+
 def test_local_train_divergence_flags_update():
     # Plain softmax gradients are bounded; the L2 term is what lets an
     # oversized step blow up geometrically to a non-finite trajectory.
@@ -144,6 +159,56 @@ def test_local_train_divergence_flags_update():
     assert update.diverged
     assert np.array_equal(update.delta, np.zeros_like(update.delta))
     assert update.loss_after == float("inf")
+
+
+def test_diverging_round_keeps_loss_before_and_aborts():
+    reg_spec = ModelSpec(feature_dim=2, class_count=3, l2_coefficient=1.0)
+    clients = [_client(0), _client(1)]
+    engine = FederationEngine(
+        reg_spec,
+        clients,
+        TrainingSchedule(rounds=3, learning_rate=0.1),
+        AggregationPolicy(),
+        42,
+        eval_sets={"medical": synthesize(builtin_recipe("medical"), 90, 900)},
+    )
+    engine.run_round()
+    engine.run_round()
+    engine.schedule = TrainingSchedule(rounds=3, local_epochs=80, learning_rate=1e6)
+    params = engine.params.copy()
+    updates = [engine.run_local(cid, 2) for cid in (0, 1)]
+    # Taken when loss_before came from its own loss() pass before the steps.
+    assert [u.loss_before for u in updates] == [0.6678870481203313, 0.6564799853660135]
+    assert [u.loss_before for u in updates] == [loss(reg_spec, params, c.data) for c in clients]
+    for update in updates:
+        assert update.diverged and update.loss_after == float("inf")
+        assert np.array_equal(update.delta, np.zeros_like(params))
+    with pytest.raises(FederationAbort, match=r"^round 2: no non-flagged updates to aggregate$"):
+        engine.run_round()
+    assert len(engine.reports) == 2
+    assert np.array_equal(engine.params, params)
+
+
+@pytest.mark.parametrize("batch_size", [None, 50])
+@pytest.mark.parametrize(
+    "l2,scale",
+    [
+        (1.0, 1e160),  # the loss's l2 term overflows: loss() warns
+        (1e300, 1e10),  # only the gradient's l2 term overflows: loss() is quiet
+    ],
+)
+def test_first_step_loss_warns_as_loss_does(l2, scale, batch_size):
+    spec = ModelSpec(feature_dim=2, class_count=3, l2_coefficient=l2)
+    data = _client(0).data
+    params = np.full(param_dim(spec), scale)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        expected = loss(spec, params, data)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        _, value = _descent_epochs(spec, data, params, 3, 0.1, batch_size, 7, 0, 0, with_loss=True)
+    assert value == expected
+    assert [(w.category, str(w.message)) for w in got] == [(w.category, str(w.message)) for w in want]
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -316,6 +381,25 @@ def test_participation_sampling_deterministic_and_sized():
     assert first == sorted(first)
     seen = {tuple(engine.participants(t)) for t in range(20)}
     assert len(seen) > 1  # different rounds sample different subsets
+
+
+def test_full_participation_full_batch_round_draws_nothing(monkeypatch):
+    labels = []
+    derive = fedmesh.federation.derive_seed
+
+    def recording_derive(root, *path):
+        labels.append(path[0])
+        return derive(root, *path)
+
+    def refuse(seed):
+        raise AssertionError("a full, full-batch round without privacy needs no generator")
+
+    monkeypatch.setattr(fedmesh.federation, "derive_seed", recording_derive)
+    monkeypatch.setattr(fedmesh.federation, "generator", refuse)
+    engine = _engine([_client(0), _client(1)], TrainingSchedule(rounds=2))
+    engine.run()
+    assert engine.participants(1) == [0, 1]
+    assert "shuffle" not in labels and "participation" not in labels
 
 
 def test_partial_participation_round_runs():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.model import (
     Dataset,
@@ -10,8 +12,12 @@ from fedmesh.model import (
     gradient,
     init_params,
     loss,
+    mean_loss,
     param_dim,
     predict_classes,
+    row_losses,
+    step,
+    unpack,
 )
 
 from conftest import random_instance
@@ -170,3 +176,70 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.array([0]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((1, 2)), np.array([5]), 2)
+
+
+# -- the step kernel against the two-pass reference ---------------------------
+
+
+def _reference_loss(spec, params, dataset):
+    """``loss`` as it was before it shared a logits pass with the gradient."""
+    logits = batch_logits(spec, params, dataset.features)
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    n = len(dataset)
+    ce = float(np.mean(lse - logits[np.arange(n), dataset.labels]))
+    if spec.l2_coefficient > 0.0:
+        weights, _ = unpack(spec, params)
+        ce += 0.5 * spec.l2_coefficient * float(np.sum(weights * weights))
+    return ce
+
+
+def _reference_gradient(spec, params, dataset):
+    """``gradient`` as it was before it shared a logits pass with the loss."""
+    logits = batch_logits(spec, params, dataset.features)
+    zmax = logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits - zmax)
+    probs /= probs.sum(axis=1, keepdims=True)
+    n = len(dataset)
+    probs[np.arange(n), dataset.labels] -= 1.0
+    probs /= n
+    grad = np.empty_like(params).reshape(spec.class_count, spec.feature_dim + 1)
+    grad[:, : spec.feature_dim] = probs.T @ dataset.features
+    grad[:, spec.feature_dim] = probs.sum(axis=0)
+    if spec.l2_coefficient > 0.0:
+        weights, _ = unpack(spec, params)
+        grad[:, : spec.feature_dim] += spec.l2_coefficient * weights
+    return grad.ravel()
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 40),
+    k=st.integers(2, 12),
+    l2=st.sampled_from([0.0, 1e-3, 0.5, 7.0]),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_kernel_is_bitwise_the_two_pass_reference(n, d, k, l2, scale, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(feature_dim=d, class_count=k, l2_coefficient=l2)
+    params = rng.normal(0.0, 1.0, param_dim(spec)) * scale
+    dataset = Dataset(rng.normal(0.0, 2.0, (n, d)), rng.integers(0, k, n), k)
+    want_loss = _reference_loss(spec, params, dataset)
+    want_grad = _reference_gradient(spec, params, dataset)
+
+    grad, value = step(spec, params, dataset.features, dataset.labels, with_loss=True)
+    assert _bits(grad) == _bits(want_grad)
+    assert _bits(value) == _bits(want_loss)
+    grad, value = step(spec, params, dataset.features, dataset.labels)
+    assert value is None and _bits(grad) == _bits(want_grad)
+    assert _bits(gradient(spec, params, dataset)) == _bits(want_grad)
+    assert _bits(loss(spec, params, dataset)) == _bits(want_loss)
+    cross_entropy, logits = row_losses(spec, params, dataset.features, dataset.labels)
+    assert _bits(mean_loss(spec, params, cross_entropy)) == _bits(want_loss)
+    assert np.array_equal(np.argmax(logits, axis=1), predict_classes(spec, params, dataset.features))
