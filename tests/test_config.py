@@ -48,6 +48,26 @@ BUNDLED_GOLDENS = {
         "1e8339e05edfa60b63d399282c5c89b7452c4ecbca78f4088bdd3cd5b4a380a6",
     ),
 }
+# The bundled configs spell out most keys; these two leave them to their
+# defaults.  MINIMAL takes every default, and the CSV config's one client
+# override takes the rest of its budget from the privacy section's.
+CSV_OVERRIDE_CONFIG = dict(
+    MINIMAL,
+    domains=[dict(CSV_DOMAIN, clients=2)],
+    privacy={"client_overrides": {"1": {"epsilon": 4.0}}},
+)
+DEFAULTED_GOLDENS = {
+    "minimal": (
+        MINIMAL,
+        "9529c4d7269c67526dc460c0c5bc2447433065bec976144a95b8bf302a2d1001",
+        "6a3275e6ce2c2f970b334afd7cfc54f4c64e4793cbe6fc905a845a79a672c7fb",
+    ),
+    "csv_override": (
+        CSV_OVERRIDE_CONFIG,
+        "27f4413f1705c7d90df1a4acd160c6063031192219ead880b23f9ccfa788fa13",
+        "7a56e0b03c836bc462a472bb58268caa6886542ff8cfec7d3ac5ca01b5a67a48",
+    ),
+}
 
 
 def _raw(**updates):
@@ -199,6 +219,14 @@ def test_bundled_configs_parse():
 def test_bundled_config_hash_and_canonical_text_are_pinned(path):
     config = load_config(path)
     hash_hex, text_sha = BUNDLED_GOLDENS[path]
+    assert config_hash(config).hex() == hash_hex
+    assert hashlib.sha256(canonical_text(config).encode("utf-8")).hexdigest() == text_sha
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTED_GOLDENS))
+def test_defaulted_config_hash_and_canonical_text_are_pinned(name):
+    raw, hash_hex, text_sha = DEFAULTED_GOLDENS[name]
+    config = parse_config(json.loads(json.dumps(raw)))
     assert config_hash(config).hex() == hash_hex
     assert hashlib.sha256(canonical_text(config).encode("utf-8")).hexdigest() == text_sha
 
