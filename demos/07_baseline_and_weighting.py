@@ -15,10 +15,10 @@ def final_accuracies(overrides):
     config = load_config("configs/iid_baseline.cfg", overrides=overrides)
     engine = build_engine(config)
     fed_acc = engine.run()[-1].global_metrics.accuracy
-    setup, rounds = baseline_rounds(config)
+    _, rounds = baseline_rounds(config)
     for _, params in rounds:
         pass
-    base_acc = evaluate(config.model, params, setup.pooled_test).accuracy
+    base_acc = evaluate(config.model, params, engine.pooled_test).accuracy
     return fed_acc, base_acc
 
 

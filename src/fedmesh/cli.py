@@ -102,8 +102,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     config = _load(args)
     out_dir = outputs.prepare_output_dir(config.output_dir, args.force)
     started = datetime.now(timezone.utc)
-    setup, rounds = baseline_rounds(config)
-    rows = [(t, evaluate(config.model, params, setup.pooled_test)) for t, params in rounds]
+    engine, rounds = baseline_rounds(config)
+    rows = [(t, evaluate(config.model, params, engine.pooled_test)) for t, params in rounds]
     outputs.write_baseline_metrics(out_dir / outputs.BASELINE_METRICS, rows)
     outputs.write_manifest(out_dir, config, [outputs.BASELINE_METRICS], started)
     print(

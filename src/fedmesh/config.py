@@ -41,24 +41,27 @@ for file-backed domains)::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .data import SCHEME_IID, CsvSchema, DomainRecipe, PartitionPlan, builtin_recipe
+from .data import CsvSchema, DomainRecipe, PartitionPlan, builtin_recipe
 from .federation import (
+    GLOBAL_TAG,
     POLICY_CUSTOM,
-    POLICY_UNIFORM,
     AggregationPolicy,
     TrainingSchedule,
     policy_coefficients,
 )
-from .model import FAMILY_SOFTMAX_LINEAR, ModelSpec, param_dim
+from .model import ModelSpec, param_dim
 from .privacy import PrivacyBudget
 from .rng import MASK64
 
@@ -127,7 +130,7 @@ class CsvDomainSource(CsvSchema):
     """A file-backed domain: its columns, its file, and its held-out share."""
 
     path: str
-    eval_fraction: float
+    eval_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -137,14 +140,19 @@ class CsvDomainSource(CsvSchema):
 
 @dataclass(frozen=True)
 class DomainConfig:
-    tag: str
+    tag: str  # not GLOBAL_TAG, which names the global model's trace
     recipe: DomainRecipe | None
     csv: CsvDomainSource | None
-    train_samples: int | None  # unused by a csv domain: its file sets its sizes
+    train_samples: int | None  # None for a csv domain: its file sets its sizes
     eval_samples: int | None
     clients: int
 
     def __post_init__(self) -> None:
+        if self.tag == GLOBAL_TAG:
+            raise ValueError(f"tag {GLOBAL_TAG!r} is reserved for the global model")
+        for name in ("train_samples", "eval_samples"):
+            if self.csv is not None and getattr(self, name) is not None:
+                raise ValueError(f"{name} must be left out of a csv domain, whose file sets its sizes")
         for name in ("train_samples", "eval_samples", "clients"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -153,9 +161,9 @@ class DomainConfig:
 
 @dataclass(frozen=True)
 class TransportConfig:
-    host: str
-    port: int
-    timeout_seconds: float
+    host: str = "127.0.0.1"
+    port: int = 7700
+    timeout_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.port < 65536:
@@ -210,9 +218,31 @@ class _Field(NamedTuple):
     default: Any = _REQUIRED
 
 
+def _fields(cls, **defaults) -> tuple[_Field, ...]:
+    """The table of a section whose keys are the fields of the dataclass ``cls``.
+
+    ``X | None`` reads as a nullable ``X``, and a tuple or array as a JSON
+    list; ``defaults`` replaces a field's own default.
+    """
+    hints = typing.get_type_hints(cls)
+    table = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):
+            (hint,) = (t for t in hint.__args__ if t is not type(None))
+        hint = typing.get_origin(hint) or hint  # dict[int, float] reads as a dict
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        table.append(
+            _Field(f.name, list if hint in (tuple, np.ndarray) else hint, defaults.get(f.name, default))
+        )
+    return tuple(table)
+
+
 # One table per section drives unknown-key rejection, typed reads with
 # defaults, and the canonical form.  Value checks live in the typed object
-# each section builds; :func:`_build` names the key they refuse.
+# each section builds; :func:`_build` names the key they refuse.  The root
+# and a domain are written out, because their JSON differs from their
+# typed objects.
 _ROOT = (
     _Field("seed", int),
     _Field("model", dict),
@@ -227,12 +257,6 @@ _ROOT = (
     _Field("transport", dict, {}),
     _Field("output_dir", str, "fedmesh-output"),
 )
-_MODEL = (
-    _Field("family", str, FAMILY_SOFTMAX_LINEAR),
-    _Field("feature_dim", int),
-    _Field("class_count", int),
-    _Field("l2_coefficient", float, 0.0),
-)
 _DOMAIN = (
     _Field("tag", str, None),
     _Field("recipe", (str, dict), None),
@@ -241,50 +265,15 @@ _DOMAIN = (
     _Field("eval_samples", int, None),
     _Field("clients", int, 1),
 )
-_RECIPE = (
-    _Field("class_means", list),
-    _Field("class_covariance_scale", float),
-    _Field("mean_shift", list),
-    _Field("label_prior", list),
-)
-_CSV = (
-    _Field("path", str),
-    _Field("feature_columns", list),
-    _Field("label_column", str),
-    _Field("eval_fraction", float, 0.25),
-)
-_PARTITION = (
-    _Field("scheme", str, SCHEME_IID),
-    _Field("dirichlet_alpha", float, 1.0),
-    _Field("min_samples_per_client", int, 1),
-    _Field("seed", int, 0),
-)
-_SCHEDULE = (
-    _Field("rounds", int),
-    _Field("local_epochs", int, 5),
-    _Field("batch_size", int, None),
-    _Field("learning_rate", float, 0.1),
-    _Field("lr_decay", float, 0.99),
-    _Field("participation_fraction", float, 1.0),
-)
-_POLICY = (
-    _Field("kind", str, POLICY_UNIFORM),
-    _Field("weights", dict, None),
-    _Field("privacy_derived", bool, False),
-    _Field("epsilon_cap", float, 8.0),
-)
-_BUDGET = (
-    _Field("enabled", bool, False),
-    _Field("epsilon", float, 1.0),
-    _Field("delta", float, 1e-5),
-    _Field("clip_norm", float, 1.0),
-)
+_MODEL = _fields(ModelSpec)
+_RECIPE = _fields(DomainRecipe)[1:]  # without domain_id: a domain's tag names its recipe
+_CSV = _fields(CsvDomainSource)
+_PARTITION = _fields(PartitionPlan)
+_SCHEDULE = _fields(TrainingSchedule)
+_POLICY = _fields(AggregationPolicy)
+_BUDGET = _fields(PrivacyBudget, enabled=False)  # a config's privacy is off unless it says so
 _PRIVACY = _BUDGET + (_Field("client_overrides", dict, {}),)
-_TRANSPORT = (
-    _Field("host", str, "127.0.0.1"),
-    _Field("port", int, 7700),
-    _Field("timeout_seconds", float, 30.0),
-)
+_TRANSPORT = _fields(TransportConfig)
 
 
 def _read(node: _Node, fields: tuple[_Field, ...], defaults: dict | None = None) -> dict:
@@ -361,10 +350,8 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
         raise ConfigError(f"{node.path}: exactly one of 'recipe' or 'csv' is required")
     if isinstance(recipe_raw, str) and values["tag"] is None:
         values["tag"] = recipe_raw  # a built-in recipe names its domain
-    sizes = {key: values.pop(key) for key in ("train_samples", "eval_samples")}
-    if csv_raw is None:
-        values.update(sizes)  # a file-backed domain takes its sizes from the file
-    for key in values:
+    # A file-backed domain takes its sizes from its file; DomainConfig refuses them there.
+    for key in ("tag",) if csv_raw is not None else ("tag", "train_samples", "eval_samples"):
         if values[key] is None:
             raise ConfigError(f"{node._full(key)}: required key is missing")
 
@@ -393,8 +380,8 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     if recipe is not None:
         _check_recipe_shape(recipe, model, node._full("recipe"))
 
-    typed = {**sizes, **values, "recipe": recipe, "csv": csv}
-    return _build(DomainConfig, typed, node.path, _DOMAIN), values
+    domain = _build(DomainConfig, {**values, "recipe": recipe, "csv": csv}, node.path, _DOMAIN)
+    return domain, {key: value for key, value in values.items() if value is not None}
 
 
 def _parse_weights(raw: dict, client_count: int) -> dict[int, float]:

@@ -10,16 +10,13 @@ started from the same config.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .data import load_csv, partition, synthesize
 from .federation import (
-    AggregationPolicy,
     ClientState,
     FederationEngine,
     centralized_descent,
@@ -27,23 +24,6 @@ from .federation import (
 )
 from .model import Dataset
 from .rng import derive_seed, generator
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class ExperimentSetup:
-    """Materialized data and client states for one experiment."""
-
-    clients: list[ClientState]
-    eval_sets: dict[str, Dataset]  # in config domain order
-    policy: AggregationPolicy
-    class_count: int
-
-    @cached_property
-    def pooled_test(self) -> Dataset:
-        """Every domain's eval set, joined in domain order."""
-        return Dataset.join(self.eval_sets.values(), self.class_count)
 
 
 def _split_csv_domain(dataset: Dataset, eval_fraction: float, seed: int):
@@ -55,8 +35,8 @@ def _split_csv_domain(dataset: Dataset, eval_fraction: float, seed: int):
     return dataset.subset(np.sort(order[eval_count:])), dataset.subset(np.sort(order[:eval_count]))
 
 
-def build_setup(config: ExperimentConfig) -> ExperimentSetup:
-    """Synthesize/load every domain, partition shards, assign client ids."""
+def build_engine(config: ExperimentConfig) -> FederationEngine:
+    """Synthesize/load every domain, partition shards, assign client ids, and build the federation."""
     clients: list[ClientState] = []
     eval_sets: dict[str, Dataset] = {}
     next_id = 0
@@ -111,38 +91,27 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
         weights = derive_privacy_weights(clients, epsilon_cap=policy.epsilon_cap)
         policy = replace(policy, weights=weights)
 
-    return ExperimentSetup(
-        clients=clients, eval_sets=eval_sets, policy=policy, class_count=config.model.class_count
-    )
-
-
-def build_engine(config: ExperimentConfig) -> FederationEngine:
-    setup = build_setup(config)
     return FederationEngine(
         spec=config.model,
-        clients=setup.clients,
+        clients=clients,
         schedule=config.schedule,
-        policy=setup.policy,
+        policy=policy,
         run_seed=config.seed,
         secure_aggregation=config.secure_aggregation,
         scale_bits=config.scale_bits,
-        eval_sets=setup.eval_sets,
+        eval_sets=eval_sets,
         tracked_indices=config.tracked_indices,
     )
 
 
-def pooled_training_data(setup: ExperimentSetup, class_count: int) -> Dataset:
-    """All client shards concatenated (client id order) for the baseline."""
-    return Dataset.join((c.data for c in setup.clients), class_count)
-
-
 def baseline_rounds(config: ExperimentConfig):
-    """Centralized training on pooled data.
+    """Centralized training on every client shard, joined in client id order.
 
-    Returns the materialized setup plus an iterator of (round, params)
-    pairs, one per round-equivalent (local_epochs steps each).
+    Returns the federation's engine, whose ``pooled_test`` scores the
+    baseline, plus an iterator of (round, params) pairs, one per
+    round-equivalent (local_epochs steps each).
     """
-    setup = build_setup(config)
-    pooled = pooled_training_data(setup, config.model.class_count)
+    engine = build_engine(config)
+    pooled = Dataset.join((c.data for c in engine.clients.values()), config.model.class_count)
     descent = centralized_descent(config.model, pooled, config.schedule, config.seed)
-    return setup, enumerate(descent)
+    return engine, enumerate(descent)

@@ -399,6 +399,8 @@ class FederationEngine:
         for client in clients:
             if client.data.feature_dim != spec.feature_dim:
                 raise ValueError(f"client {client.client_id} data does not match the model spec")
+            if client.domain_tag == GLOBAL_TAG:  # the tag names the global model's trace
+                raise ValueError(f"client {client.client_id} has the reserved domain tag {GLOBAL_TAG!r}")
         if not eval_sets:
             raise ValueError("a federation needs at least one eval set")
         for dataset in eval_sets.values():

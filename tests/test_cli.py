@@ -10,6 +10,8 @@ import pytest
 
 from conftest import ROOT, run_python
 from fedmesh.cli import main
+from fedmesh.config import load_config
+from fedmesh.experiment import build_engine
 from fedmesh.transport import FLAG_SECURE, FLAG_SELECTED
 
 CONFIG = "configs/three_domains.cfg"
@@ -50,6 +52,37 @@ def test_simulate_writes_all_artifacts(tmp_path):
         "clients.csv",
     }
     assert len(manifest["config_hash"]) == 64
+
+
+def test_domain_tagged_global_is_refused_and_the_global_row_traces_the_global_model(tmp_path, capsys):
+    # A domain tagged "global" used to overwrite the global model's rows of
+    # param_trace.csv with its own mean local model, and the run exited 0.
+    raw = {
+        "seed": 42,
+        "model": {"feature_dim": 2, "class_count": 3},
+        "domains": [
+            {"recipe": "medical", "train_samples": 240, "eval_samples": 120},
+            {"recipe": "financial", "tag": "global", "train_samples": 240, "eval_samples": 120},
+        ],
+        "schedule": {"rounds": 2},
+        "tracked_indices": [0, 1],
+    }
+    path = tmp_path / "tagged.cfg"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "refused")]) == 1
+    message = "config error: domains[1].tag: 'global' is reserved for the global model\n"
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "refused").exists()
+
+    raw["domains"][1]["tag"] = "fin"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    engine = build_engine(load_config(str(path)))
+    rows = [row for row in _read_csv(out / "param_trace.csv")[1:] if row[1] == "global"]
+    for t in range(2):
+        engine.run_round()
+        assert [float(row[3]) for row in rows if row[0] == str(t)] == list(engine.params[[0, 1]])
 
 
 def test_simulate_is_byte_deterministic(tmp_path):

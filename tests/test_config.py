@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 
@@ -144,9 +145,19 @@ def test_custom_weighted_requires_full_weights():
 
 
 def test_csv_domain_sizes_are_checked_though_unused():
-    domain = dict(json.loads(json.dumps(CSV_DOMAIN)), train_samples=0)
-    with pytest.raises(ConfigError, match=re.escape("domains[0].train_samples: must be >= 1")):
-        parse_config(_raw(domains=[domain]))
+    # A csv domain's file sets its sizes, so it refuses any size it is given.
+    for key, value in itertools.product(("train_samples", "eval_samples"), (0, 5)):
+        domain = dict(json.loads(json.dumps(CSV_DOMAIN)), **{key: value})
+        message = f"domains[0].{key}: must be left out of a csv domain, whose file sets its sizes"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(_raw(domains=[domain]))
+
+
+def test_domain_tag_global_is_reserved():
+    domain = {"recipe": "financial", "tag": "global", "train_samples": 60, "eval_samples": 30}
+    raw = _raw(domains=[MINIMAL["domains"][0], domain], tracked_indices=[0, 1])
+    with pytest.raises(ConfigError, match=re.escape("domains[1].tag: 'global' is reserved for the global model")):
+        parse_config(raw)
 
 
 def test_privacy_derived_policy():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedmesh.config import ConfigError, parse_config
 from fedmesh.evaluation import evaluate
-from fedmesh.experiment import build_engine, build_setup
+from fedmesh.experiment import build_engine
 from fedmesh.federation import RoundInputs
 from fedmesh.model import Dataset, loss, param_dim
 
@@ -31,22 +31,23 @@ def _base_raw(**updates):
 
 
 def test_client_ids_count_up_in_domain_order():
-    setup = build_setup(parse_config(_base_raw()))
-    assert [c.client_id for c in setup.clients] == [0, 1, 2]
-    assert [c.domain_tag for c in setup.clients] == ["medical", "medical", "user"]
+    engine = build_engine(parse_config(_base_raw()))
+    clients = list(engine.clients.values())
+    assert [c.client_id for c in clients] == [0, 1, 2]
+    assert [c.domain_tag for c in clients] == ["medical", "medical", "user"]
     # Domain shards cover the domain's training data.
-    assert len(setup.clients[0].data) + len(setup.clients[1].data) == 80
-    assert len(setup.clients[2].data) == 60
-    assert len(setup.pooled_test) == 40 + 30
-    assert set(setup.eval_sets) == {"medical", "user"}
+    assert len(clients[0].data) + len(clients[1].data) == 80
+    assert len(clients[2].data) == 60
+    assert len(engine.pooled_test) == 40 + 30
+    assert set(engine.eval_sets) == {"medical", "user"}
 
 
 def test_setup_is_deterministic():
-    a = build_setup(parse_config(_base_raw()))
-    b = build_setup(parse_config(_base_raw()))
-    for ca, cb in zip(a.clients, b.clients):
+    a = build_engine(parse_config(_base_raw()))
+    b = build_engine(parse_config(_base_raw()))
+    for ca, cb in zip(a.clients.values(), b.clients.values()):
         assert np.array_equal(ca.data.features, cb.data.features)
-    c = build_setup(parse_config(_base_raw(seed=6)))
+    c = build_engine(parse_config(_base_raw(seed=6)))
     assert not np.array_equal(a.clients[0].data.features, c.clients[0].data.features)
 
 
@@ -65,9 +66,9 @@ def test_inline_recipe_domain():
             "eval_samples": 20,
         }
     )
-    setup = build_setup(parse_config(raw))
-    assert setup.clients[-1].domain_tag == "synthetic"
-    assert len(setup.clients[-1].data) == 50
+    last = list(build_engine(parse_config(raw)).clients.values())[-1]
+    assert last.domain_tag == "synthetic"
+    assert len(last.data) == 50
 
 
 def _write_csv_domain(tmp_path, n=90, k=3, seed=1):
@@ -94,13 +95,13 @@ def test_csv_domain_end_to_end(tmp_path):
         }
     ]
     config = parse_config(raw)
-    setup = build_setup(config)
-    train_total = sum(len(c.data) for c in setup.clients)
-    eval_total = len(setup.eval_sets["filecsv"])
+    engine = build_engine(config)
+    train_total = sum(len(c.data) for c in engine.clients.values())
+    eval_total = len(engine.eval_sets["filecsv"])
     assert train_total + eval_total == len(dataset)
     assert eval_total == round(0.25 * len(dataset))
     # Full engine run over the CSV-backed domain.
-    reports = build_engine(config).run()
+    reports = engine.run()
     assert len(reports) == 2
     assert np.isfinite(reports[-1].global_loss)
 
@@ -115,7 +116,7 @@ def test_csv_domain_class_count_mismatch(tmp_path):
         }
     ]
     with pytest.raises(ConfigError, match="classes"):
-        build_setup(parse_config(raw))
+        build_engine(parse_config(raw))
 
 
 def test_csv_domain_missing_file():
@@ -127,7 +128,7 @@ def test_csv_domain_missing_file():
         }
     ]
     with pytest.raises(ConfigError, match="domains\\[0\\].csv"):
-        build_setup(parse_config(raw))
+        build_engine(parse_config(raw))
 
 
 def test_csv_config_round_trips_canonically(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 import fedmesh.federation
 from fedmesh.data import builtin_recipe, synthesize
 from fedmesh.federation import (
+    GLOBAL_TAG,
     AggregationPolicy,
     ClientState,
     ClientUpdate,
@@ -159,6 +160,21 @@ def test_local_train_divergence_flags_update():
     assert update.diverged
     assert np.array_equal(update.delta, np.zeros_like(update.delta))
     assert update.loss_after == float("inf")
+
+
+def test_engine_refuses_a_client_tagged_global():
+    # The tag names the global model's rows of the parameter trace.
+    clients = [_client(0), ClientState(1, GLOBAL_TAG, _client(1).data, NO_DP)]
+    with pytest.raises(ValueError, match="client 1 has the reserved domain tag 'global'"):
+        FederationEngine(
+            SPEC,
+            clients,
+            TrainingSchedule(rounds=1),
+            AggregationPolicy(),
+            42,
+            eval_sets={"medical": synthesize(builtin_recipe("medical"), 90, 900)},
+            tracked_indices=(0, 1),
+        )
 
 
 def test_diverging_round_keeps_loss_before_and_aborts():
