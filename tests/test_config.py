@@ -120,6 +120,7 @@ def test_hash_ignores_output_and_transport():
         (lambda r: r.update(fixed_point_scale_bits=60), "fixed_point_scale_bits"),
         (lambda r: r.update(unknown_key=1), "unknown_key"),
         (lambda r: r["domains"][0].update(surprise=2), "domains[0].surprise"),
+        (lambda r: r["domains"][0].update(tag="global"), "domains[0].tag: 'global' is reserved"),
     ],
 )
 def test_errors_name_offending_key(mutate, needle):
@@ -151,13 +152,6 @@ def test_csv_domain_sizes_are_checked_though_unused():
         message = f"domains[0].{key}: must be left out of a csv domain, whose file sets its sizes"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(_raw(domains=[domain]))
-
-
-def test_domain_tag_global_is_reserved():
-    domain = {"recipe": "financial", "tag": "global", "train_samples": 60, "eval_samples": 30}
-    raw = _raw(domains=[MINIMAL["domains"][0], domain], tracked_indices=[0, 1])
-    with pytest.raises(ConfigError, match=re.escape("domains[1].tag: 'global' is reserved for the global model")):
-        parse_config(raw)
 
 
 def test_privacy_derived_policy():
