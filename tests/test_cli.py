@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import socket
@@ -601,6 +602,41 @@ def test_baseline_matches_single_client_federation(tmp_path):
     fed = _read_csv(out_fed / "metrics.csv")
     base = _read_csv(out_base / "baseline_metrics.csv")
     assert fed[1:] == base[1:]
+
+
+# sha256 of baseline_metrics.csv at each bundled config's defaults.  The file
+# holds only count-based metrics, so last-bit BLAS differences do not move it.
+BASELINE_METRICS_SHA256 = {
+    "configs/three_domains.cfg": "eba8572f60620f6fb7a86696c7170cb7dfb97eca9643e1d37d0833fb41aef913",
+    "configs/iid_baseline.cfg": "67ae4844d70f4bbb5c37a6f5aa9f3c86134da2a548c4033d614b1ff7bff21a7d",
+}
+
+
+def _baseline_metrics_sha256(out, config, *args):
+    assert main(["baseline", "--config", config, "--out", str(out), *args]) == 0
+    return hashlib.sha256((out / "baseline_metrics.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(BASELINE_METRICS_SHA256))
+def test_baseline_metrics_bytes_are_pinned(tmp_path, config):
+    assert _baseline_metrics_sha256(tmp_path / "base", config) == BASELINE_METRICS_SHA256[config]
+
+
+FEDERATION_ONLY = {
+    "privacy": ["privacy.enabled=true", 'privacy.client_overrides={"1":{"epsilon":0.5}}'],
+    "secure": ["secure_aggregation=true"],
+    "participation": ["schedule.participation_fraction=0.5"],
+    "privacy_derived": ['policy={"kind":"custom_weighted","privacy_derived":true}'],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEDERATION_ONLY))
+def test_baseline_ignores_federation_only_settings(tmp_path, name):
+    # The pooled baseline trains one client with no noise, no masking and
+    # every round, so these settings leave its bytes alone.
+    config = "configs/iid_baseline.cfg"
+    digest = _baseline_metrics_sha256(tmp_path / "base", config, *_override_flags(FEDERATION_ONLY[name]))
+    assert digest == BASELINE_METRICS_SHA256[config]
 
 
 def test_dp_accuracy_not_better_than_plain(tmp_path):
