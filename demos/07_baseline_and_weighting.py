@@ -7,18 +7,14 @@ section shows the weighting policy that down-weights clients with strict
 privacy budgets.
 """
 
-from fedmesh import ClientState, PrivacyBudget, builtin_recipe, derive_privacy_weights, evaluate, synthesize
+from fedmesh import ClientState, PrivacyBudget, builtin_recipe, derive_privacy_weights, synthesize
 from fedmesh.config import load_config
-from fedmesh.experiment import baseline_rounds, build_engine
+from fedmesh.experiment import build_baseline, build_engine
 
 def final_accuracies(overrides):
     config = load_config("configs/iid_baseline.cfg", overrides=overrides)
-    engine = build_engine(config)
-    fed_acc = engine.run()[-1].global_metrics.accuracy
-    _, rounds = baseline_rounds(config)
-    for _, params in rounds:
-        pass
-    base_acc = evaluate(config.model, params, engine.pooled_test).accuracy
+    fed_acc = build_engine(config).run()[-1].global_metrics.accuracy
+    base_acc = build_baseline(config).run()[-1].global_metrics.accuracy
     return fed_acc, base_acc
 
 

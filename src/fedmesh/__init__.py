@@ -16,7 +16,6 @@ from .federation import (
     ClientUpdate,
     FederationEngine,
     TrainingSchedule,
-    centralized_descent,
     derive_privacy_weights,
     local_train,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "add_noise",
     "builtin_recipe",
     "calibrate_sigma",
-    "centralized_descent",
     "clip",
     "confusion",
     "derive_privacy_weights",

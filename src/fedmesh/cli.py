@@ -17,8 +17,7 @@ from datetime import datetime, timezone
 
 from . import outputs
 from .config import ConfigError, ExperimentConfig, canonical_text, config_hash, load_config
-from .evaluation import evaluate
-from .experiment import baseline_rounds, build_engine
+from .experiment import build_baseline, build_engine
 from .federation import FederationAbort
 from .transport import FederationClient, FederationServer, TransportError
 
@@ -102,8 +101,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     config = _load(args)
     out_dir = outputs.prepare_output_dir(config.output_dir, args.force)
     started = datetime.now(timezone.utc)
-    engine, rounds = baseline_rounds(config)
-    rows = [(t, evaluate(config.model, params, engine.pooled_test)) for t, params in rounds]
+    reports = build_baseline(config).run()
+    rows = [(r.round_index, r.global_metrics) for r in reports]
     outputs.write_baseline_metrics(out_dir / outputs.BASELINE_METRICS, rows)
     outputs.write_manifest(out_dir, config, [outputs.BASELINE_METRICS], started)
     print(

@@ -16,13 +16,9 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .data import load_csv, partition, synthesize
-from .federation import (
-    ClientState,
-    FederationEngine,
-    centralized_descent,
-    derive_privacy_weights,
-)
+from .federation import AggregationPolicy, ClientState, FederationEngine, derive_privacy_weights
 from .model import Dataset
+from .privacy import PrivacyBudget
 from .rng import derive_seed, generator
 
 
@@ -35,8 +31,8 @@ def _split_csv_domain(dataset: Dataset, eval_fraction: float, seed: int):
     return dataset.subset(np.sort(order[eval_count:])), dataset.subset(np.sort(order[:eval_count]))
 
 
-def build_engine(config: ExperimentConfig) -> FederationEngine:
-    """Synthesize/load every domain, partition shards, assign client ids, and build the federation."""
+def _clients_and_eval_sets(config: ExperimentConfig) -> tuple[list[ClientState], dict[str, Dataset]]:
+    """Synthesize/load every domain, partition shards and assign client ids, in id order."""
     clients: list[ClientState] = []
     eval_sets: dict[str, Dataset] = {}
     next_id = 0
@@ -85,7 +81,12 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
                 )
             )
             next_id += 1
+    return clients, eval_sets
 
+
+def build_engine(config: ExperimentConfig) -> FederationEngine:
+    """The federation the config describes."""
+    clients, eval_sets = _clients_and_eval_sets(config)
     policy = config.policy
     if policy.privacy_derived:
         weights = derive_privacy_weights(clients, epsilon_cap=policy.epsilon_cap)
@@ -104,14 +105,22 @@ def build_engine(config: ExperimentConfig) -> FederationEngine:
     )
 
 
-def baseline_rounds(config: ExperimentConfig):
-    """Centralized training on every client shard, joined in client id order.
+def build_baseline(config: ExperimentConfig) -> FederationEngine:
+    """Pooled training: a one-client federation on every shard, joined in client id order.
 
-    Returns the federation's engine, whose ``pooled_test`` scores the
-    baseline, plus an iterator of (round, params) pairs, one per
-    round-equivalent (local_epochs steps each).
+    One client takes part in every round (``ceil(fraction * 1) == 1``), with
+    no noise and no masking, so a round is ``local_epochs`` of plain descent
+    on the pooled data.  Only the model, schedule and seed come from the
+    config; its privacy, policy and secure-aggregation settings are the
+    federation's alone.  It scores on the federation's eval sets.
     """
-    engine = build_engine(config)
-    pooled = Dataset.join((c.data for c in engine.clients.values()), config.model.class_count)
-    descent = centralized_descent(config.model, pooled, config.schedule, config.seed)
-    return engine, enumerate(descent)
+    clients, eval_sets = _clients_and_eval_sets(config)
+    pooled = Dataset.join((c.data for c in clients), config.model.class_count)
+    return FederationEngine(
+        spec=config.model,
+        clients=[ClientState(0, "pooled", pooled, PrivacyBudget(enabled=False))],
+        schedule=config.schedule,
+        policy=AggregationPolicy(),
+        run_seed=config.seed,
+        eval_sets=eval_sets,
+    )

@@ -178,25 +178,22 @@ def _descent_epochs(
     run_seed: int,
     shuffle_id: int,
     round_index: int,
-    with_loss: bool = False,
-) -> tuple[np.ndarray, float | None]:
+) -> tuple[np.ndarray, float]:
     """Plain gradient descent for ``epochs`` passes from checked ``params`` and ``dataset``.
 
     Returns the new parameters, non-finite as-is when a step diverges
-    (callers decide how to flag it), and, ``with_loss``, the loss at
-    ``params`` (``None`` otherwise).  Full batch takes that loss from the
-    first step's logits.  Minibatches are shuffled by the stream of
-    ``(run_seed, "shuffle", shuffle_id, round_index)``.
+    (callers decide how to flag it), and the loss at ``params``.  Full
+    batch takes that loss from the first step's logits.  Minibatches are
+    shuffled by the stream of ``(run_seed, "shuffle", shuffle_id, round_index)``.
     """
     x, y = dataset.features, dataset.labels
-    theta, start_loss = params, None
+    theta = params
     full_batch = batch_size is None or batch_size >= len(y)
-    if with_loss:
-        # Outside the errstate below, so this loss warns as loss() does.
-        if full_batch:
-            grad, start_loss = step(spec, theta, x, y, with_loss=True)
-        else:
-            start_loss = mean_loss(spec, theta, row_losses(spec, theta, x, y)[0])
+    # Outside the errstate below, so this loss warns as loss() does.
+    if full_batch:
+        grad, start_loss = step(spec, theta, x, y, with_loss=True)
+    else:
+        start_loss = mean_loss(spec, theta, row_losses(spec, theta, x, y)[0])
     # Overflow in a step is the divergence signal handled by the caller,
     # not a numerical surprise worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,7 +201,7 @@ def _descent_epochs(
             for epoch in range(epochs):
                 # Later steps go through gradient(), the name that step
                 # timers hook; it checks theta, which is finite here.
-                if epoch or not with_loss:
+                if epoch:
                     grad = gradient(spec, theta, dataset)
                 theta = theta - lr * grad
                 if not np.all(np.isfinite(theta)):
@@ -248,7 +245,6 @@ def local_train(
         run_seed,
         client.client_id,
         round_index,
-        with_loss=True,
     )
     if not np.all(np.isfinite(theta)):
         log.warning(
@@ -397,8 +393,10 @@ class FederationEngine:
             raise ValueError("client ids must be unique")
         dim = param_dim(spec)
         for client in clients:
-            if client.data.feature_dim != spec.feature_dim:
-                raise ValueError(f"client {client.client_id} data does not match the model spec")
+            try:
+                check_dataset(spec, client.data)
+            except ValueError as exc:
+                raise ValueError(f"client {client.client_id}: {exc}") from None
             if client.domain_tag == GLOBAL_TAG:  # the tag names the global model's trace
                 raise ValueError(f"client {client.client_id} has the reserved domain tag {GLOBAL_TAG!r}")
         if not eval_sets:
@@ -584,33 +582,3 @@ class FederationEngine:
             tracked=tracked,
             clients=tuple(records),
         )
-
-
-def centralized_descent(
-    spec: ModelSpec,
-    dataset: Dataset,
-    schedule: TrainingSchedule,
-    run_seed: int,
-):
-    """Plain pooled-data descent, round-grouped: yields params per round.
-
-    Uses client 0's shuffle stream, so a one-client federation with
-    privacy disabled follows this trajectory step for step.
-    """
-    check_dataset(spec, dataset)
-    theta = init_params(spec)
-    for t in range(schedule.rounds):
-        theta, _ = _descent_epochs(
-            spec,
-            dataset,
-            theta,
-            schedule.local_epochs,
-            learning_rate_at(schedule, t),
-            schedule.batch_size,
-            run_seed,
-            0,
-            t,
-        )
-        if not np.all(np.isfinite(theta)):
-            raise FederationAbort(f"centralized training diverged in round {t}")
-        yield theta.copy()

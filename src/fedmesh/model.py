@@ -2,8 +2,11 @@
 
 The model family is fixed to softmax-linear (one weight vector plus bias
 per class).  It is convex, so convergence checks have a unique global
-optimum, and a single-client federation is exactly equivalent to
-centralized gradient descent.
+optimum.  A single-client federation without privacy runs centralized
+gradient descent: each round's local epochs are plain descent from the
+global model.  The engine then stores ``global + (local - global)``,
+which can differ from the local model in the last bits, so the two
+trajectories agree up to that rounding, not bitwise in general.
 
 Parameter layout is canonical and class-major: for class ``k`` the slice
 ``params[k*(d+1) : (k+1)*(d+1)]`` holds the ``d`` feature weights followed

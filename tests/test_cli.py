@@ -109,27 +109,27 @@ def test_bad_config_exits_1(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+# An oversized step under an L2 term blows up to a non-finite trajectory in round 0.
+DIVERGING = [
+    "model.l2_coefficient=1.0",
+    "schedule.learning_rate=1e6",
+    "schedule.rounds=1",
+    "schedule.local_epochs=80",
+    "privacy.enabled=false",
+]
+
+
 def test_diverging_run_exits_2(tmp_path):
-    code = main(
-        [
-            "simulate",
-            "--config",
-            CONFIG,
-            "--out",
-            str(tmp_path / "o"),
-            "--override",
-            "model.l2_coefficient=1.0",
-            "--override",
-            "schedule.learning_rate=1e6",
-            "--override",
-            "schedule.rounds=1",
-            "--override",
-            "schedule.local_epochs=80",
-            "--override",
-            "privacy.enabled=false",
-        ]
-    )
+    code = main(["simulate", "--config", CONFIG, "--out", str(tmp_path / "o"), *_override_flags(DIVERGING)])
     assert code == 2
+
+
+def test_diverging_baseline_exits_2_in_one_line(tmp_path, capsys):
+    code = main(["baseline", "--config", CONFIG, "--out", str(tmp_path / "o"), *_override_flags(DIVERGING)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("run aborted: round 0:")
 
 
 # Huge steps keep the update finite but beyond the fixed-point codec's range.

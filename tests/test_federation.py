@@ -18,13 +18,12 @@ from fedmesh.federation import (
     TrainingSchedule,
     _combined_delta,
     _descent_epochs,
-    centralized_descent,
     derive_privacy_weights,
     learning_rate_at,
     local_train,
     policy_coefficients,
 )
-from fedmesh.model import ModelSpec, gradient, init_params, loss, param_dim
+from fedmesh.model import Dataset, ModelSpec, init_params, loss, param_dim
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
 
 SPEC = ModelSpec(feature_dim=2, class_count=3)
@@ -162,6 +161,20 @@ def test_local_train_divergence_flags_update():
     assert update.loss_after == float("inf")
 
 
+@pytest.mark.parametrize(
+    "shard,message",
+    [
+        # Refused at construction, not in local_train during the first round.
+        (Dataset(np.zeros((4, 2)), np.arange(4), 4), "client 1: dataset class_count 4 != spec class_count 3"),
+        (Dataset(np.zeros((3, 5)), np.arange(3), 3), "client 1: dataset feature_dim 5 != spec feature_dim 2"),
+    ],
+)
+def test_engine_checks_client_shards_against_the_spec(shard, message):
+    clients = [_client(0), ClientState(1, "medical", shard, NO_DP)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _engine(clients, TrainingSchedule(rounds=1))
+
+
 def test_engine_refuses_a_client_tagged_global():
     # The tag names the global model's rows of the parameter trace.
     clients = [_client(0), ClientState(1, GLOBAL_TAG, _client(1).data, NO_DP)]
@@ -222,7 +235,7 @@ def test_first_step_loss_warns_as_loss_does(l2, scale, batch_size):
         expected = loss(spec, params, data)
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        _, value = _descent_epochs(spec, data, params, 3, 0.1, batch_size, 7, 0, 0, with_loss=True)
+        _, value = _descent_epochs(spec, data, params, 3, 0.1, batch_size, 7, 0, 0)
     assert value == expected
     assert [(w.category, str(w.message)) for w in got] == [(w.category, str(w.message)) for w in want]
 
@@ -357,16 +370,6 @@ def test_privacy_weights_epsilon_to_zero_limit():
 
 
 # -- engine rounds ---------------------------------------------------------------
-
-
-def test_one_client_matches_centralized_descent_bitwise():
-    data = synthesize(builtin_recipe("medical"), 200, 4)
-    client = ClientState(0, "medical", data, NO_DP)
-    schedule = TrainingSchedule(rounds=20, local_epochs=5, learning_rate=0.1, lr_decay=0.99)
-    engine = _engine([client], schedule, run_seed=1234)
-    for params in centralized_descent(SPEC, data, schedule, 1234):
-        engine.run_round()
-        assert np.array_equal(engine.params, params)
 
 
 def test_run_deterministic_reports():
