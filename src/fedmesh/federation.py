@@ -6,7 +6,8 @@ One round is broadcast -> local train -> release -> aggregate:
   ``local_epochs`` of (full-batch or mini-batch) gradient steps at the
   round's learning rate;
 * the client releases its parameter delta (local minus global), passed
-  through the privacy mechanism;
+  through the privacy mechanism; under secure aggregation it releases
+  only the masked share of its coefficient-weighted delta;
 * the server combines deltas as a convex combination under the active
   policy and advances the global model by the combined delta.
 
@@ -22,6 +23,7 @@ worker scheduling or arrival order.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -92,7 +94,12 @@ class ClientState:
 
 @dataclass
 class ClientUpdate:
-    """A client's released contribution for one round."""
+    """A client's released contribution for one round.
+
+    Under secure aggregation the update carries ``share``, the masked
+    words of ``coefficient * delta``, and its ``delta`` is zeros; this is
+    the update the server decodes from a ``MASKED_SHARE`` frame.
+    """
 
     client_id: int
     round_index: int
@@ -103,6 +110,7 @@ class ClientUpdate:
     receipt: NoiseReceipt
     diverged: bool = False
     tracked_values: tuple[float, ...] = ()
+    share: MaskedShare | None = None
 
     def __post_init__(self) -> None:
         self.delta = np.asarray(self.delta, dtype=np.float64)
@@ -361,7 +369,6 @@ class RoundInputs:
     participant_ids: list[int]
     coefficients: dict[int, float]
     updates: list[ClientUpdate] = field(default_factory=list)
-    shares: list[MaskedShare] | None = None
 
 
 class FederationEngine:
@@ -403,7 +410,7 @@ class FederationEngine:
             raise ValueError("a federation needs at least one eval set")
         for dataset in eval_sets.values():
             check_dataset(spec, dataset)
-        if any(i >= dim for i in tracked_indices):
+        if any(not 0 <= i < dim for i in tracked_indices):
             raise ValueError("tracked index out of range for the model")
         if policy.kind == POLICY_CUSTOM and policy.weights is None:
             raise ValueError("custom_weighted policy needs weights")
@@ -420,11 +427,11 @@ class FederationEngine:
         self.params = init_params(spec)
         self.round_index = 0
         self.reports: list[RoundReport] = []
-        self.seed_matrix = (
-            PairwiseSeedMatrix.from_root_seed(derive_seed(run_seed, "mask"), self.clients)
-            if secure_aggregation
-            else None
-        )
+
+    @functools.cached_property
+    def seed_matrix(self) -> PairwiseSeedMatrix:
+        """Every pair seed, derived on first use: only a party that masks derives them."""
+        return PairwiseSeedMatrix.from_root_seed(derive_seed(self.run_seed, "mask"), self.clients)
 
     # -- round building blocks -------------------------------------------
 
@@ -448,41 +455,35 @@ class FederationEngine:
             raise FederationAbort(f"round {round_index}: {exc}") from exc
         return RoundInputs(round_index, pids, coefficients)
 
-    def run_local(self, client_id: int, round_index: int) -> ClientUpdate:
-        return local_train(
+    def run_local(self, client_id: int, inputs: RoundInputs) -> ClientUpdate:
+        """Train one participant of the round and release its update.
+
+        Under secure aggregation the release masks ``coefficient * delta``
+        (zeros for a flagged update, whose delta is zeros) against the
+        round's participants, stores the share in the update and zeroes
+        its delta.
+        """
+        t = inputs.round_index
+        update = local_train(
             self.clients[client_id],
             self.params,
             self.schedule,
             self.spec,
-            round_index,
+            t,
             self.run_seed,
             self.tracked_indices,
         )
-
-    def masked_share_for(
-        self,
-        update: ClientUpdate,
-        coefficient: float,
-        participant_ids: list[int],
-    ) -> MaskedShare:
-        """Client-side masking of a coefficient-scaled delta (zeros if flagged)."""
-        if self.seed_matrix is None:
-            raise ValueError("engine was not configured for secure aggregation")
-        scaled = np.zeros_like(update.delta) if update.diverged else coefficient * update.delta
+        if not self.secure_aggregation:
+            return update
         try:
-            encoded = self.codec.encode(scaled)
+            encoded = self.codec.encode(inputs.coefficients[client_id] * update.delta)
         except OverflowError as exc:
             raise FederationAbort(
-                f"client {update.client_id}, round {update.round_index}: "
-                f"update does not fit the fixed-point codec ({exc})"
+                f"client {client_id}, round {t}: update does not fit the fixed-point codec ({exc})"
             ) from None
-        return mask(
-            encoded,
-            update.client_id,
-            self.seed_matrix,
-            participant_ids,
-            update.round_index,
-        )
+        update.share = mask(encoded, client_id, self.seed_matrix, inputs.participant_ids, t)
+        update.delta = np.zeros_like(update.delta)
+        return update
 
     def complete_round(self, inputs: RoundInputs) -> RoundReport:
         """Aggregate, advance the global model, evaluate, and record."""
@@ -493,7 +494,8 @@ class FederationEngine:
         try:
             summed = None
             if self.secure_aggregation:
-                summed = unmask_sum(inputs.shares, self.codec, inputs.participant_ids)
+                shares = [u.share for u in inputs.updates]
+                summed = unmask_sum(shares, self.codec, inputs.participant_ids)
             step = _combined_delta(inputs.updates, inputs.coefficients, summed)
         except (SecureSumAbort, ValueError) as exc:
             raise FederationAbort(f"round {inputs.round_index}: {exc}") from exc
@@ -506,13 +508,7 @@ class FederationEngine:
     def run_round(self) -> RoundReport:
         """One full in-process round."""
         inputs = self.begin_round(self.round_index)
-        t, pids = inputs.round_index, inputs.participant_ids
-        inputs.updates = [self.run_local(cid, t) for cid in pids]
-        if self.secure_aggregation:
-            inputs.shares = [
-                self.masked_share_for(u, inputs.coefficients[u.client_id], pids)
-                for u in inputs.updates
-            ]
+        inputs.updates = [self.run_local(cid, inputs) for cid in inputs.participant_ids]
         return self.complete_round(inputs)
 
     def run(self) -> list[RoundReport]:

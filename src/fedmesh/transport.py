@@ -24,6 +24,8 @@ a parameter vector survives the wire bit for bit.  What the fields mean:
 * CLIENT_UPDATE and MASKED_SHARE: the delta params or the masked words,
   then loss_before, loss_after, sample_count, diverged, mechanism (0 none,
   1 gaussian), clip_applied, sigma, pre_clip_norm, tracked local values.
+  Either decodes to one ``ClientUpdate``; a MASKED_SHARE's carries its
+  share and a zero delta, as the masking client's own update does.
 * ROUND_REPORT: global loss, accuracy (server -> client notice).
 * ABORT (code 2: the run ends) and BYE (0 normal, 3 config mismatch):
   code, UTF-8 reason.
@@ -260,7 +262,9 @@ def _update_tail(update: ClientUpdate) -> tuple:
     return fields, update.tracked_values
 
 
-def _decode_update(frame: Frame, delta: np.ndarray, fields: tuple, tracked) -> ClientUpdate:
+def _decode_update(
+    frame: Frame, delta: np.ndarray, fields: tuple, tracked, share: MaskedShare | None = None
+) -> ClientUpdate:
     loss_before, loss_after, sample_count, diverged, gaussian, clipped, sigma, norm = fields
     mechanism = MECHANISM_GAUSSIAN if gaussian else MECHANISM_NONE
     try:
@@ -277,6 +281,7 @@ def _decode_update(frame: Frame, delta: np.ndarray, fields: tuple, tracked) -> C
             receipt=receipt,
             diverged=bool(diverged),
             tracked_values=tuple(tracked.tolist()),
+            share=share,
         )
     except ValueError as exc:
         raise FrameError(f"invalid update: {exc}") from None
@@ -293,18 +298,17 @@ def decode_client_update(frame: Frame) -> ClientUpdate:
     return _decode_update(frame, _checked_params(delta), *tail)
 
 
-def encode_masked_share(share: MaskedShare, update: ClientUpdate) -> bytes:
-    parts = (share.masked_values, *_update_tail(update))
+def encode_masked_share(update: ClientUpdate) -> bytes:
+    parts = (update.share.masked_values, *_update_tail(update))
     return _pack(LAYOUTS[MessageType.MASKED_SHARE], parts)
 
 
-def decode_masked_share(frame: Frame) -> tuple[MaskedShare, ClientUpdate]:
+def decode_masked_share(frame: Frame) -> ClientUpdate:
     words, *tail = _unpack(LAYOUTS[MessageType.MASKED_SHARE], frame.payload)
     share = MaskedShare(
         client_id=frame.client_id, round_index=frame.round_index, masked_values=words
     )
-    # The delta placeholder is never aggregated; masked rounds sum the shares.
-    return share, _decode_update(frame, np.zeros(len(words)), *tail)
+    return _decode_update(frame, np.zeros(len(words)), *tail, share=share)
 
 
 def encode_round_summary(global_loss: float, accuracy: float) -> bytes:
@@ -564,11 +568,10 @@ class FederationServer:
         payload = encode_global_model(self.engine.params, *header)
         return Frame(MessageType.GLOBAL_MODEL, inputs.round_index, cid, payload)
 
-    def _collect(self, inputs: RoundInputs):
+    def _collect(self, inputs: RoundInputs) -> list[ClientUpdate]:
         round_index, secure = inputs.round_index, self.engine.secure_aggregation
         wanted = set(inputs.participant_ids)
         updates: dict[int, ClientUpdate] = {}
-        shares: dict[int, MaskedShare | None] = {}
         end = time.monotonic() + self.timeout
         while set(updates) != wanted:
             lost = sorted(wanted - set(updates) - set(self._clients))
@@ -583,9 +586,9 @@ class FederationServer:
                     continue
                 try:
                     if secure and frame.msg_type == MessageType.MASKED_SHARE:
-                        share, update = decode_masked_share(frame)
+                        update = decode_masked_share(frame)
                     elif not secure and frame.msg_type == MessageType.CLIENT_UPDATE:
-                        share, update = None, decode_client_update(frame)
+                        update = decode_client_update(frame)
                     else:
                         log.warning("dropping frame type %d from client %d", frame.msg_type, cid)
                         continue
@@ -599,12 +602,8 @@ class FederationServer:
                     if cid in self._clients:
                         self._drop(self._clients[cid], cid, f"malformed update: {exc}")
                     continue
-                updates[cid], shares[cid] = update, share
-        ordered = sorted(updates)
-        return (
-            [updates[cid] for cid in ordered],
-            [shares[cid] for cid in ordered] if secure else None,
-        )
+                updates[cid] = update
+        return [updates[cid] for cid in sorted(updates)]
 
     def run(self) -> None:
         """Run each round once; a failed round ends the run with ABORT and TransportError."""
@@ -614,7 +613,7 @@ class FederationServer:
             try:
                 inputs = engine.begin_round(t)
                 self._broadcast(lambda cid: self._model_frame(inputs, cid))
-                inputs.updates, inputs.shares = self._collect(inputs)
+                inputs.updates = self._collect(inputs)
                 report = engine.complete_round(inputs)
             except FederationAbort as exc:
                 log.warning("round %d aborted: %s", t, exc)
@@ -714,20 +713,19 @@ class FederationClient:
                     f"round {t}: global model has dim {params.shape[0]}, "
                     f"expected {self.engine.params.shape[0]}"
                 )
-            own = global_model_header(self.engine, self.engine.begin_round(t), self.client_id)
+            inputs = self.engine.begin_round(t)
+            own = global_model_header(self.engine, inputs, self.client_id)
             if tuple(header) != own:
                 raise TransportError(
                     f"round {t}: GLOBAL_MODEL (coefficient, flags, participants) "
                     f"{tuple(header)} differs from this config's {own}"
                 )
-            coefficient, flags, participant_ids = own
-            if not flags & FLAG_SELECTED:
+            if self.client_id not in inputs.participant_ids:
                 continue
             self.engine.params = params
-            update = self.engine.run_local(self.client_id, t)
+            update = self.engine.run_local(self.client_id, inputs)
             if self.engine.secure_aggregation:
-                share = self.engine.masked_share_for(update, coefficient, participant_ids)
-                msg_type, payload = MessageType.MASKED_SHARE, encode_masked_share(share, update)
+                msg_type, payload = MessageType.MASKED_SHARE, encode_masked_share(update)
             else:
                 msg_type, payload = MessageType.CLIENT_UPDATE, encode_client_update(update)
             conn.send(Frame(msg_type, t, self.client_id, payload))

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +33,28 @@ def write_dataset_csv(path, dataset, header, label_names):
         writer.writerow(header)
         for feats, label in zip(dataset.features, dataset.labels):
             writer.writerow([*(repr(float(v)) for v in feats), label_names[label]])
+
+
+def flag_clients(engine, flagged_ids):
+    """Make the given clients diverge in ``engine``, so their updates come back flagged.
+
+    Their local steps run at an infinite learning rate; the engine flags
+    and releases such an update itself, masked share included.
+    """
+    original = engine.run_local
+
+    def run_local(cid, inputs):
+        if cid not in flagged_ids:
+            return original(cid, inputs)
+        schedule = engine.schedule
+        engine.schedule = dataclasses.replace(schedule, learning_rate=math.inf)
+        try:
+            return original(cid, inputs)
+        finally:
+            engine.schedule = schedule
+
+    engine.run_local = run_local
+    return engine
 
 
 @pytest.fixture

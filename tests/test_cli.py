@@ -435,7 +435,18 @@ REFUSED_BY_VALIDATE = [
 ]
 
 
-@pytest.mark.parametrize("override,key", REFUSED_BY_VALIDATE, ids=[k for _, k in REFUSED_BY_VALIDATE])
+# Weights beside privacy_derived, which replaces them: a run dropped them silently.
+WEIGHTS_BESIDE_DERIVED = (
+    'policy={"kind":"custom_weighted","privacy_derived":true,"weights":{"0":100.0,"1":0.0,"2":0.0,"3":0.0}}',
+    "policy.weights",
+)
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [*REFUSED_BY_VALIDATE, WEIGHTS_BESIDE_DERIVED],
+    ids=[*(k for _, k in REFUSED_BY_VALIDATE), "policy.weights-privacy_derived"],
+)
 def test_validate_refuses_in_one_line_what_a_run_would_refuse(capsys, override, key):
     assert main(["validate", "--config", "configs/iid_baseline.cfg", "--override", override]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -25,6 +24,8 @@ from fedmesh.federation import (
 )
 from fedmesh.model import Dataset, ModelSpec, init_params, loss, param_dim
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
+
+from conftest import flag_clients
 
 SPEC = ModelSpec(feature_dim=2, class_count=3)
 NO_DP = PrivacyBudget(enabled=False)
@@ -175,6 +176,13 @@ def test_engine_checks_client_shards_against_the_spec(shard, message):
         _engine(clients, TrainingSchedule(rounds=1))
 
 
+@pytest.mark.parametrize("index", [-1, 9])
+def test_engine_refuses_a_tracked_index_outside_the_parameters(index):
+    # Refused at construction, not by trace_parameters in the first round.
+    with pytest.raises(ValueError, match="^tracked index out of range for the model$"):
+        _engine([_client(0)], TrainingSchedule(rounds=1), tracked_indices=(0, index))
+
+
 def test_engine_refuses_a_client_tagged_global():
     # The tag names the global model's rows of the parameter trace.
     clients = [_client(0), ClientState(1, GLOBAL_TAG, _client(1).data, NO_DP)]
@@ -205,7 +213,8 @@ def test_diverging_round_keeps_loss_before_and_aborts():
     engine.run_round()
     engine.schedule = TrainingSchedule(rounds=3, local_epochs=80, learning_rate=1e6)
     params = engine.params.copy()
-    updates = [engine.run_local(cid, 2) for cid in (0, 1)]
+    inputs = engine.begin_round(2)
+    updates = [engine.run_local(cid, inputs) for cid in (0, 1)]
     # Taken when loss_before came from its own loss() pass before the steps.
     assert [u.loss_before for u in updates] == [0.6678870481203313, 0.6564799853660135]
     assert [u.loss_before for u in updates] == [loss(reg_spec, params, c.data) for c in clients]
@@ -449,20 +458,6 @@ def test_secure_matches_plaintext_within_fixed_point_bound(kind):
     assert np.max(np.abs(plain.params - masked.params)) <= 3 * 2.0**-23
 
 
-def _flagging(engine, flagged_ids):
-    """Make the given clients' updates come back flagged, as if they diverged."""
-    original = engine.run_local
-
-    def run_local(cid, t):
-        update = original(cid, t)
-        if cid in flagged_ids:
-            update = dataclasses.replace(update, delta=np.zeros_like(update.delta), diverged=True)
-        return update
-
-    engine.run_local = run_local
-    return engine
-
-
 def test_flagged_client_renormalizes_alike_in_plain_and_secure_rounds():
     def build(secure):
         clients = [_client(i, tag) for i, tag in enumerate(["medical", "financial", "user"])]
@@ -472,11 +467,12 @@ def test_flagged_client_renormalizes_alike_in_plain_and_secure_rounds():
             policy=AggregationPolicy("size_weighted"),
             secure_aggregation=secure,
         )
-        return _flagging(engine, {1})
+        return flag_clients(engine, {1})
 
     plain, masked = build(False), build(True)
     # The two remaining clients form a convex combination on their own.
-    survivors = [plain.run_local(cid, 0) for cid in (0, 2)]
+    inputs = plain.begin_round(0)
+    survivors = [plain.run_local(cid, inputs) for cid in (0, 2)]
     expected = _aggregate(survivors, AggregationPolicy("size_weighted"), plain.params)
     plain_report = plain.run_round()
     masked.run_round()
@@ -489,7 +485,7 @@ def test_flagged_client_renormalizes_alike_in_plain_and_secure_rounds():
 def test_all_flagged_round_aborts(secure):
     clients = [_client(i) for i in range(3)]
     engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=secure)
-    _flagging(engine, {0, 1, 2})
+    flag_clients(engine, {0, 1, 2})
     with pytest.raises(FederationAbort, match="no non-flagged"):
         engine.run_round()
 
@@ -517,11 +513,8 @@ def test_complete_round_with_a_missing_share_raises_federation_abort():
     clients = [_client(i) for i in range(3)]
     engine = _engine(clients, TrainingSchedule(rounds=1, local_epochs=1), secure_aggregation=True)
     inputs = engine.begin_round(0)
-    inputs.updates = [engine.run_local(cid, 0) for cid in inputs.participant_ids]
-    inputs.shares = [
-        engine.masked_share_for(u, inputs.coefficients[u.client_id], inputs.participant_ids)
-        for u in inputs.updates[:-1]  # the last client's share is missing
-    ]
+    # The last participant's update, and so its share, is missing.
+    inputs.updates = [engine.run_local(cid, inputs) for cid in inputs.participant_ids[:-1]]
     with pytest.raises(FederationAbort, match="round 0: share set mismatch: missing"):
         engine.complete_round(inputs)
     # Nothing advanced: the round can be completed once the share arrives.

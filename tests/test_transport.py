@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import socket
 import struct
@@ -43,6 +44,8 @@ from fedmesh.transport import (
     _pack,
     _unpack,
 )
+
+from conftest import flag_clients
 
 BASE_OVERRIDES = ["schedule.rounds=3", "transport.timeout_seconds=10"]
 
@@ -196,7 +199,7 @@ def test_frame_bytes_are_pinned():
         MessageType.HELLO: encode_hello(bytes(range(32)), 240),
         MessageType.GLOBAL_MODEL: encode_global_model(np.array([1.0, -2.0]), 0.25, 0b011, [1, 4]),
         MessageType.CLIENT_UPDATE: encode_client_update(update),
-        MessageType.MASKED_SHARE: encode_masked_share(share, update),
+        MessageType.MASKED_SHARE: encode_masked_share(dataclasses.replace(update, share=share)),
         MessageType.ROUND_REPORT: encode_round_summary(0.5, 0.875),
         MessageType.ABORT: encode_notice(1, "retry"),
         MessageType.BYE: encode_notice(0, "run complete"),
@@ -251,13 +254,13 @@ def test_client_update_round_trip():
 
 
 def test_masked_share_round_trip():
-    update = _sample_update()
     share = MaskedShare(4, 9, np.array([1, 2**63, 2**64 - 1], dtype=np.uint64))
-    frame = Frame(MessageType.MASKED_SHARE, 9, 4, encode_masked_share(share, update))
-    out_share, out_update = decode_masked_share(frame)
-    assert np.array_equal(out_share.masked_values, share.masked_values)
-    assert out_update.receipt == update.receipt
-    assert out_update.tracked_values == update.tracked_values
+    update = dataclasses.replace(_sample_update(), share=share)
+    frame = Frame(MessageType.MASKED_SHARE, 9, 4, encode_masked_share(update))
+    out = decode_masked_share(frame)
+    assert np.array_equal(out.share.masked_values, share.masked_values)
+    assert out.receipt == update.receipt
+    assert out.tracked_values == update.tracked_values
 
 
 def test_notice_round_trip():
@@ -346,17 +349,18 @@ def test_client_update_round_trip_property(update):
 @given(update=_updates(), words=st.lists(st.integers(0, 2**64 - 1), max_size=12))
 def test_masked_share_round_trip_property(update, words):
     share = MaskedShare(update.client_id, update.round_index, np.array(words, dtype=np.uint64))
+    update = dataclasses.replace(update, share=share)
     frame = Frame(
         MessageType.MASKED_SHARE,
         update.round_index,
         update.client_id,
-        encode_masked_share(share, update),
+        encode_masked_share(update),
     )
-    out_share, out_update = decode_masked_share(frame)
-    assert out_share.masked_values.tolist() == words
-    assert (out_share.client_id, out_share.round_index) == (share.client_id, share.round_index)
-    _assert_same_metadata(out_update, update)
-    assert out_update.delta.tolist() == [0.0] * len(words)
+    out = decode_masked_share(frame)
+    assert out.share.masked_values.tolist() == words
+    assert (out.share.client_id, out.share.round_index) == (share.client_id, share.round_index)
+    _assert_same_metadata(out, update)
+    assert out.delta.tolist() == [0.0] * len(words)
 
 
 # -- the layout table -----------------------------------------------------------
@@ -460,8 +464,13 @@ def test_pack_refuses_values_outside_their_field(name):
 # -- sockets -------------------------------------------------------------------
 
 
-def _run_federation(config, client_ids, client_config=None):
-    engine = build_engine(config)
+def _run_federation(config, client_ids, client_config=None, engine=None, client_engines=None):
+    """Serve ``config`` and join ``client_ids``, each in its own thread.
+
+    ``engine`` and ``client_engines`` (by client id) replace the engines
+    that would be built from the configs.
+    """
+    engine = engine or build_engine(config)
     server = FederationServer(engine, config_hash(config), port=0, timeout=10)
     addr = server.address
     errors = []
@@ -476,7 +485,8 @@ def _run_federation(config, client_ids, client_config=None):
     def join(cid):
         try:
             cfg = client_config or config
-            FederationClient(build_engine(cfg), cid, config_hash(cfg), addr, timeout=10).run()
+            own = (client_engines or {}).get(cid) or build_engine(cfg)
+            FederationClient(own, cid, config_hash(cfg), addr, timeout=10).run()
         except Exception as exc:
             errors.append(exc)
 
@@ -648,6 +658,54 @@ def test_socket_secure_run_matches_simulate_bitwise():
     engine, errors = _run_federation(config, [0, 1, 2])
     assert errors == []
     assert np.array_equal(engine.params, sim.params)
+
+
+def _completed_updates(engine):
+    """The updates of each round ``engine`` completes, recorded as they arrive."""
+    rounds = []
+    complete_round = engine.complete_round
+
+    def recording(inputs):
+        rounds.append(list(inputs.updates))
+        return complete_round(inputs)
+
+    engine.complete_round = recording
+    return rounds
+
+
+def test_complete_round_gets_equal_secure_updates_in_simulate_and_serve():
+    # Each carries its masked share and a zero delta, whichever driver made it.
+    config = _config(["secure_aggregation=true", "schedule.participation_fraction=0.5"])
+    sim = build_engine(config)
+    flagged = sim.participants(0)[0]
+    simulated = _completed_updates(flag_clients(sim, {flagged}))
+    sim.run()
+    engine = build_engine(config)
+    served = _completed_updates(engine)
+    clients = {cid: build_engine(config) for cid in engine.clients}
+    flag_clients(clients[flagged], {flagged})
+    _, errors = _run_federation(config, sorted(clients), engine=engine, client_engines=clients)
+    assert errors == []
+    assert len(served) == config.schedule.rounds
+    assert any(u.diverged for updates in simulated for u in updates)
+    for got_round, want_round in zip(served, simulated, strict=True):
+        assert len(got_round) == len(want_round) < len(clients)
+        for got, want in zip(got_round, want_round):
+            assert got.delta.tobytes() == want.delta.tobytes() == bytes(len(want.delta) * 8)
+            assert got.share.masked_values.tobytes() == want.share.masked_values.tobytes()
+            assert (got.share.client_id, got.share.round_index) == (want.client_id, want.round_index)
+            _assert_same_metadata(got, want)
+    assert np.array_equal(engine.params, sim.params)
+
+
+def test_only_the_masking_processes_derive_pair_seeds():
+    config = _config(["secure_aggregation=true"])
+    engine = build_engine(config)
+    clients = {cid: build_engine(config) for cid in engine.clients}
+    _, errors = _run_federation(config, sorted(clients), engine=engine, client_engines=clients)
+    assert errors == []
+    assert "seed_matrix" not in vars(engine)
+    assert all("seed_matrix" in vars(client) for client in clients.values())
 
 
 def test_partial_participation_socket_matches_simulate(tmp_path):
