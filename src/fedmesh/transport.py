@@ -645,6 +645,8 @@ class FederationClient:
         self.config_hash = config_hash
         self.server_addr = server_addr
         self.timeout = timeout
+        if engine.secure_aggregation:  # derive the pair seeds in set-up, not in round 0
+            engine.seed_matrix
 
     def run(self) -> None:
         sock = socket.create_connection(self.server_addr, timeout=self.timeout)

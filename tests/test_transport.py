@@ -708,6 +708,14 @@ def test_only_the_masking_processes_derive_pair_seeds():
     assert all("seed_matrix" in vars(client) for client in clients.values())
 
 
+@pytest.mark.parametrize("secure", [True, False])
+def test_a_masking_client_derives_its_pair_seeds_before_it_connects(secure):
+    config = _config([f"secure_aggregation={str(secure).lower()}"])
+    engine = build_engine(config)
+    FederationClient(engine, 0, config_hash(config), ("127.0.0.1", 1), timeout=1)
+    assert ("seed_matrix" in vars(engine)) == secure
+
+
 def test_partial_participation_socket_matches_simulate(tmp_path):
     config = _config(["schedule.participation_fraction=0.5"])
     sim = build_engine(config)
