@@ -29,9 +29,9 @@ CSV_DOMAIN = {
 RECIPE_DOMAIN = {
     "tag": "inline",
     "recipe": {
-        "class_means": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+        "class_means": [[1, 0], [0, 1], [-1, 0]],
         "class_covariance_scale": 0.5,
-        "mean_shift": [0.0, 0.0],
+        "mean_shift": [0, 0],
         "label_prior": [0.4, 0.3, 0.3],
     },
     "train_samples": 30,
@@ -49,13 +49,18 @@ BUNDLED_GOLDENS = {
         "1e8339e05edfa60b63d399282c5c89b7452c4ecbca78f4088bdd3cd5b4a380a6",
     ),
 }
-# The bundled configs spell out most keys; these two leave them to their
+# The bundled configs spell out most keys; these leave them to their
 # defaults.  MINIMAL takes every default, and the CSV config's one client
-# override takes the rest of its budget from the privacy section's.
+# override takes the rest of its budget from the privacy section's.  The
+# inline recipe's integer literals canonicalize to floats.
 CSV_OVERRIDE_CONFIG = dict(
     MINIMAL,
     domains=[dict(CSV_DOMAIN, clients=2)],
     privacy={"client_overrides": {"1": {"epsilon": 4.0}}},
+)
+INLINE_AND_CSV_CONFIG = dict(
+    MINIMAL,
+    domains=[RECIPE_DOMAIN, dict(CSV_DOMAIN, csv=dict(CSV_DOMAIN["csv"], eval_fraction=0.4))],
 )
 DEFAULTED_GOLDENS = {
     "minimal": (
@@ -67,6 +72,11 @@ DEFAULTED_GOLDENS = {
         CSV_OVERRIDE_CONFIG,
         "27f4413f1705c7d90df1a4acd160c6063031192219ead880b23f9ccfa788fa13",
         "7a56e0b03c836bc462a472bb58268caa6886542ff8cfec7d3ac5ca01b5a67a48",
+    ),
+    "inline_and_csv": (
+        INLINE_AND_CSV_CONFIG,
+        "0166de286703a65e90a4236c2554559531c621805929ecf179ebeb45326e9b27",
+        "b7c750ca1f4dbf2344272d1ea0c649d36c8ecaab3a8fc52b833394893c7c2b0a",
     ),
 }
 
