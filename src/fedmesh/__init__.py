@@ -20,7 +20,7 @@ from .federation import (
     local_train,
 )
 from .model import Dataset, ModelSpec, gradient, init_params, loss, param_dim, predict_classes
-from .privacy import NoiseReceipt, PrivacyBudget, add_noise, calibrate_sigma, clip, privatize
+from .privacy import NoiseReceipt, PrivacyBudget, calibrate_sigma, clip, privatize
 from .secure_sum import FixedPointCodec, MaskedShare, PairwiseSeedMatrix, mask, unmask_sum
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "PrivacyBudget",
     "RoundReport",
     "TrainingSchedule",
-    "add_noise",
     "builtin_recipe",
     "calibrate_sigma",
     "clip",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error (the message names the
 offending key), 2 runtime abort (diverged or failed round, lost client),
-3 config-hash mismatch between server and client.
+3 config-hash mismatch between server and client, 130 interrupted (Ctrl-C).
 
 Set ``FEDMESH_LOG`` (DEBUG/INFO/WARNING/ERROR) to control log verbosity.
 """

@@ -48,12 +48,11 @@ import math
 import types
 import typing
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from .data import CsvSchema, DomainRecipe, PartitionPlan, builtin_recipe
+from .data import CsvSource, DomainRecipe, PartitionPlan, builtin_recipe
 from .federation import (
     GLOBAL_TAG,
     POLICY_CUSTOM,
@@ -126,23 +125,10 @@ class _Node:
 
 
 @dataclass(frozen=True)
-class CsvDomainSource(CsvSchema):
-    """A file-backed domain: its columns, its file, and its held-out share."""
-
-    path: str
-    eval_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ValueError("eval_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class DomainConfig:
     tag: str  # not GLOBAL_TAG, which names the global model's trace
     recipe: DomainRecipe | None
-    csv: CsvDomainSource | None
+    csv: CsvSource | None
     train_samples: int | None  # None for a csv domain: its file sets its sizes
     eval_samples: int | None
     clients: int
@@ -266,8 +252,8 @@ _DOMAIN = (
     _Field("clients", int, 1),
 )
 _MODEL = _fields(ModelSpec)
-_RECIPE = _fields(DomainRecipe)[1:]  # without domain_id: a domain's tag names its recipe
-_CSV = _fields(CsvDomainSource)
+_RECIPE = _fields(DomainRecipe)
+_CSV = _fields(CsvSource)
 _PARTITION = _fields(PartitionPlan)
 _SCHEDULE = _fields(TrainingSchedule)
 _POLICY = _fields(AggregationPolicy)
@@ -359,7 +345,7 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     if csv_raw is not None:
         csv_node = node.child("csv")
         values["csv"] = _read(csv_node, _CSV)
-        csv = _build(CsvDomainSource, values["csv"], csv_node.path, _CSV)
+        csv = _build(CsvSource, values["csv"], csv_node.path, _CSV)
         if len(csv.feature_columns) != model.feature_dim:
             raise ConfigError(
                 f"{csv_node._full('feature_columns')}: {len(csv.feature_columns)} columns "
@@ -374,7 +360,7 @@ def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
     else:
         recipe_node = node.child("recipe")
         recipe_values = _read(recipe_node, _RECIPE)
-        recipe = _build(partial(DomainRecipe, values["tag"]), recipe_values, recipe_node.path, _RECIPE)
+        recipe = _build(DomainRecipe, recipe_values, recipe_node.path, _RECIPE)
         # The recipe holds float arrays; emitting those canonicalizes integer literals.
         values["recipe"] = {f.name: getattr(recipe, f.name) for f in _RECIPE}
     if recipe is not None:

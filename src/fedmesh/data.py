@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ SCHEME_DIRICHLET = "dirichlet_label_skew"
 class DomainRecipe:
     """Generative description of one domain's data distribution."""
 
-    domain_id: str
     class_means: np.ndarray  # (K, d) feature-space centers
     class_covariance_scale: float
     mean_shift: np.ndarray  # (d,) offset applied to every center
@@ -99,7 +98,7 @@ _BUILTIN_MEANS = 2.0 * np.array(
 
 # Built once: a recipe is immutable, so every config shares these.
 _BUILTIN = {
-    name: DomainRecipe(name, _BUILTIN_MEANS, 0.8, np.array(mean_shift), np.array(label_prior))
+    name: DomainRecipe(_BUILTIN_MEANS, 0.8, np.array(mean_shift), np.array(label_prior))
     for name, mean_shift, label_prior in (
         ("medical", (0.4, 0.2), (0.60, 0.25, 0.15)),
         ("financial", (-0.3, 0.4), (0.20, 0.55, 0.25)),
@@ -190,11 +189,13 @@ def partition(dataset: Dataset, plan: PartitionPlan, client_count: int) -> list[
 
 
 @dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for :func:`load_csv`."""
+class CsvSource:
+    """A file-backed domain: its columns, its file, and its held-out share."""
 
     feature_columns: tuple[str, ...]
     label_column: str
+    path: str
+    eval_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
@@ -202,35 +203,33 @@ class CsvSchema:
             raise ValueError("feature_columns must be a non-empty list of strings")
         if self.label_column in self.feature_columns:
             raise ValueError("label_column must not also be a feature column")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ValueError("eval_fraction must lie in (0, 1)")
 
 
-@dataclass
-class CsvDataset:
-    """A loaded CSV dataset plus its deterministic label mapping."""
+def load_csv(source: CsvSource) -> tuple[Dataset, tuple[str, ...]]:
+    """Parse a comma-separated UTF-8 file (header row required, BOM allowed).
 
-    dataset: Dataset
-    label_names: tuple[str, ...] = field(default_factory=tuple)
-
-
-def load_csv(path: str, schema: CsvSchema) -> CsvDataset:
-    """Parse a comma-separated UTF-8 file (header row required).
-
-    Label strings are mapped to indices by sorting the distinct values, so
-    the mapping depends only on the file's label set.  Parse failures
-    report the 1-based line number.
+    Returns the dataset and its label names.  Label strings are mapped to
+    indices by sorting the distinct values, so the mapping depends only on
+    the file's label set.  Parse failures report the 1-based line number.
     """
+    path = source.path
     rows: list[tuple[list[float], str]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file (no header row)")
-        for col in (*schema.feature_columns, schema.label_column):
-            if col not in reader.fieldnames:
+        for col in (*source.feature_columns, source.label_column):
+            count = reader.fieldnames.count(col)
+            if count == 0:
                 raise ValueError(f"{path}: missing column {col!r}")
+            if count > 1:
+                raise ValueError(f"{path}: column {col!r} appears more than once in the header")
         for record in reader:
             line = reader.line_num
             feats = []
-            for col in schema.feature_columns:
+            for col in source.feature_columns:
                 raw = record[col]
                 if raw is None:
                     raise ValueError(f"{path}:{line}: missing value for column {col!r}")
@@ -243,7 +242,7 @@ def load_csv(path: str, schema: CsvSchema) -> CsvDataset:
                 if not np.isfinite(value):
                     raise ValueError(f"{path}:{line}: non-finite feature in column {col!r}")
                 feats.append(value)
-            label = record[schema.label_column]
+            label = record[source.label_column]
             if label is None or label == "":
                 raise ValueError(f"{path}:{line}: missing label")
             rows.append((feats, label))
@@ -255,5 +254,5 @@ def load_csv(path: str, schema: CsvSchema) -> CsvDataset:
     index = {name: i for i, name in enumerate(label_names)}
     features = np.array([feats for feats, _ in rows], dtype=np.float64)
     labels = np.array([index[label] for _, label in rows], dtype=np.int64)
-    return CsvDataset(Dataset(features, labels, len(label_names)), label_names)
+    return Dataset(features, labels, len(label_names)), label_names
 

@@ -39,10 +39,9 @@ def _clients_and_eval_sets(config: ExperimentConfig) -> tuple[list[ClientState],
     for index, domain in enumerate(config.domains):
         if domain.csv is not None:
             try:
-                loaded = load_csv(domain.csv.path, domain.csv)
+                full, _ = load_csv(domain.csv)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"domains[{index}].csv: {exc}") from None
-            full = loaded.dataset
             if full.class_count != config.model.class_count:
                 raise ConfigError(
                     f"domains[{index}].csv: file has {full.class_count} classes, "

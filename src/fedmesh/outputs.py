@@ -52,7 +52,10 @@ def prepare_output_dir(path: str, force: bool = False) -> Path:
             raise ConfigError(
                 f"output directory {path!r} is not empty; pass --force to overwrite"
             )
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output path {path!r} cannot be created: {exc.strerror}") from None
     return out
 
 

@@ -110,22 +110,6 @@ def calibrate_sigma(budget: PrivacyBudget) -> float:
     return _gaussian_sigma(budget)
 
 
-def add_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Add i.i.d. Gaussian(0, sigma^2) noise; sigma=0 returns the input unchanged."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot add noise to non-finite values")
-    if sigma == 0.0:
-        return values
-    return _noised(values, sigma, seed)
-
-
-def _noised(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    return values + generator(seed).normal(0.0, sigma, size=values.shape)
-
-
 def privatize(
     values: np.ndarray, budget: PrivacyBudget, seed: int
 ) -> tuple[np.ndarray, NoiseReceipt]:
@@ -142,7 +126,7 @@ def privatize(
     clipped, applied, pre_norm = clip(values, budget.clip_norm)
     sigma = calibrate_sigma(budget)
     # clip() has checked finiteness, and an enabled budget's sigma is > 0.
-    noised = _noised(clipped, sigma, seed)
+    noised = clipped + generator(seed).normal(0.0, sigma, size=clipped.shape)
     receipt = NoiseReceipt(
         sigma=sigma,
         clip_applied=applied,

@@ -103,6 +103,51 @@ def test_output_dir_protection(tmp_path):
     assert main(["simulate", "--config", CONFIG, "--out", str(out), "--force", *FAST]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "baseline"])
+def test_output_path_below_a_file_exits_1_in_one_line(tmp_path, capsys, command):
+    (tmp_path / "F").touch()
+    out = str(tmp_path / "F" / "sub")
+    assert main([command, "--config", "configs/iid_baseline.cfg", "--out", out, *FAST]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output path {out!r} cannot be created: Not a directory"
+    ]
+
+
+def _csv_config(tmp_path, header, rows):
+    """A two-class config whose one domain reads a CSV file of ``header`` and ``rows`` (bytes)."""
+    (tmp_path / "domain.csv").write_bytes(header + b"".join(rows))
+    config = {
+        "seed": 1,
+        "model": {"feature_dim": 2, "class_count": 2},
+        "domains": [
+            {
+                "tag": "file",
+                "csv": {"path": str(tmp_path / "domain.csv"), "feature_columns": ["a", "b"], "label_column": "label"},
+            }
+        ],
+        "schedule": {"rounds": 2},
+    }
+    (tmp_path / "csv.cfg").write_text(json.dumps(config))
+    return str(tmp_path / "csv.cfg")
+
+
+ROWS = [b"1.0,2.0,x\r\n", b"3.0,4.0,y\r\n", b"5.0,6.0,x\r\n", b"7.0,8.0,y\r\n"]
+
+
+def test_csv_domain_with_a_byte_order_mark_runs(tmp_path, capsys):
+    config = _csv_config(tmp_path, b"\xef\xbb\xbfa,b,label\r\n", ROWS)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_csv_domain_naming_a_column_twice_exits_1_in_one_line(tmp_path, capsys):
+    rows = [b"1.0,2.0,100.0,x\n", b"3.0,4.0,300.0,y\n", b"5.0,6.0,500.0,x\n"]
+    config = _csv_config(tmp_path, b"a,b,a,label\n", rows)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    message = f"{tmp_path / 'domain.csv'}: column 'a' appears more than once in the header"
+    assert capsys.readouterr().err.splitlines() == [f"config error: domains[0].csv: {message}"]
+
+
 def test_bad_config_exits_1(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(json.dumps({"seed": 1}))

@@ -1,9 +1,17 @@
+import csv
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.data import (
     BUILTIN_RECIPE_NAMES,
-    CsvSchema,
+    CsvSource,
     DomainRecipe,
     PartitionPlan,
     builtin_recipe,
@@ -35,7 +43,6 @@ def test_synthesize_deterministic():
 
 def test_synthesize_degenerate_prior_is_deterministic_class():
     recipe = DomainRecipe(
-        domain_id="one",
         class_means=np.zeros((3, 2)),
         class_covariance_scale=1.0,
         mean_shift=np.zeros(2),
@@ -48,7 +55,6 @@ def test_synthesize_degenerate_prior_is_deterministic_class():
 def test_all_zero_prior_rejected():
     with pytest.raises(ValueError):
         DomainRecipe(
-            domain_id="bad",
             class_means=np.zeros((2, 2)),
             class_covariance_scale=1.0,
             mean_shift=np.zeros(2),
@@ -67,7 +73,6 @@ def test_all_zero_prior_rejected():
 )
 def test_non_finite_recipe_rejected(field, value):
     recipe = dict(
-        domain_id="bad",
         class_means=np.zeros((2, 2)),
         class_covariance_scale=1.0,
         mean_shift=np.zeros(2),
@@ -80,7 +85,6 @@ def test_non_finite_recipe_rejected(field, value):
 
 def test_uniform_prior_class_fraction():
     recipe = DomainRecipe(
-        domain_id="balanced",
         class_means=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         class_covariance_scale=1.0,
         mean_shift=np.zeros(2),
@@ -167,42 +171,122 @@ def test_dirichlet_alpha_controls_skew():
     assert np.mean(skew_small) > np.mean(skew_large)
 
 
+def _source(path, features=("x0", "x1")):
+    return CsvSource(feature_columns=features, label_column="label", path=str(path))
+
+
 def test_csv_round_trip(tmp_path):
     dataset = _toy_dataset(n=37, seed=8)
-    schema = CsvSchema(feature_columns=("x0", "x1"), label_column="label")
     path = tmp_path / "data.csv"
     write_dataset_csv(path, dataset, ("x0", "x1", "label"), ("alpha", "beta", "gamma"))
-    loaded = load_csv(str(path), schema)
-    assert np.array_equal(loaded.dataset.features, dataset.features)
-    assert np.array_equal(loaded.dataset.labels, dataset.labels)
-    assert loaded.label_names == ("alpha", "beta", "gamma")
+    loaded, label_names = load_csv(_source(path))
+    assert np.array_equal(loaded.features, dataset.features)
+    assert np.array_equal(loaded.labels, dataset.labels)
+    assert label_names == ("alpha", "beta", "gamma")
 
 
 def test_csv_three_rows(tmp_path):
     path = tmp_path / "small.csv"
     path.write_text("x0,x1,label\n1.0,2.0,yes\n3.0,4.0,no\n5.0,6.0,yes\n")
-    loaded = load_csv(str(path), CsvSchema(("x0", "x1"), "label"))
-    assert len(loaded.dataset) == 3
-    assert loaded.label_names == ("no", "yes")
-    assert loaded.dataset.labels.tolist() == [1, 0, 1]
+    loaded, label_names = load_csv(_source(path))
+    assert len(loaded) == 3
+    assert label_names == ("no", "yes")
+    assert loaded.labels.tolist() == [1, 0, 1]
 
 
 def test_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x0,x1,label\n")
     with pytest.raises(ValueError, match="empty dataset"):
-        load_csv(str(path), CsvSchema(("x0", "x1"), "label"))
+        load_csv(_source(path))
 
 
 def test_csv_non_numeric_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1,label\n1.0,2.0,a\noops,4.0,b\n")
     with pytest.raises(ValueError, match=":3:"):
-        load_csv(str(path), CsvSchema(("x0", "x1"), "label"))
+        load_csv(_source(path))
 
 
 def test_csv_missing_column(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("x0,label\n1.0,a\n2.0,b\n")
     with pytest.raises(ValueError, match="missing column 'x1'"):
-        load_csv(str(path), CsvSchema(("x0", "x1"), "label"))
+        load_csv(_source(path))
+
+
+def test_csv_with_a_byte_order_mark_loads_the_same_dataset(tmp_path):
+    # "CSV UTF-8" exports from spreadsheet tools begin with a BOM and end lines with CRLF.
+    text = "x0,x1,label\n0.5,-1.25,b\n3.0,4.0,a\n-0.0,1e-300,b\n"
+    plain, exported = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    exported.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+    (want, want_names), (got, got_names) = load_csv(_source(plain)), load_csv(_source(exported))
+    assert got.features.tobytes() == want.features.tobytes()
+    assert np.array_equal(got.labels, want.labels)
+    assert got_names == want_names == ("a", "b")
+
+
+def test_csv_header_naming_a_column_twice_is_refused(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b,a,label\n1.0,2.0,100.0,x\n3.0,4.0,300.0,y\n5.0,6.0,500.0,x\n")
+    message = "dup.csv: column 'a' appears more than once in the header"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_csv(_source(path, features=("a", "b")))
+
+
+@pytest.mark.parametrize(
+    "fields,needle",
+    [
+        ({"feature_columns": ()}, "feature_columns"),
+        ({"feature_columns": ("x0", 1)}, "feature_columns"),
+        ({"label_column": "x1"}, "label_column"),
+        ({"eval_fraction": 1.0}, "eval_fraction"),
+    ],
+)
+def test_csv_source_checks_its_fields(fields, needle):
+    values = {"feature_columns": ("x0", "x1"), "label_column": "label", "path": "d.csv", **fields}
+    with pytest.raises(ValueError, match=f"^{needle} "):
+        CsvSource(**values)
+
+
+_LABEL = st.text(st.characters(codec="utf-8", exclude_categories=("Cs", "Cc")), min_size=1, max_size=4)
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, feature columns, feature rows, labels) of a well-formed CSV domain."""
+    dim = draw(st.integers(1, 3))
+    # At least 2 rows, because a file needs 2 distinct labels.
+    n = draw(st.integers(2, 30))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    names = draw(st.lists(_LABEL, min_size=2, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    labels[:2] = names[:2]
+    features = [f"f{i}" for i in range(dim)]
+    header = draw(st.permutations([*features, "label", "unused"]))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for feats, label in zip(rows, labels):
+        cells = {**{f: repr(v) for f, v in zip(features, feats)}, "label": label, "unused": "?"}
+        lines.append([cells[column] for column in header])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=terminator)
+    writer.writerow(header)
+    writer.writerows(lines)
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.getvalue().encode("utf-8"), tuple(features), rows, labels
+
+
+@settings(max_examples=30, deadline=None)
+@given(_csv_files())
+def test_load_csv_reads_back_what_was_written(case):
+    data, features, rows, labels = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "domain.csv"
+        path.write_bytes(data)
+        dataset, names = load_csv(_source(path, features=features))
+    assert dataset.features.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    assert names == tuple(sorted(set(labels)))
+    assert dataset.labels.tolist() == [names.index(label) for label in labels]

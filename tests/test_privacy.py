@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fedmesh.privacy import (
     NoiseReceipt,
     PrivacyBudget,
-    add_noise,
     calibrate_sigma,
     clip,
     privatize,
@@ -111,23 +110,21 @@ def test_budget_construction_logs_nothing(caplog):
     assert caplog.records == []
 
 
-def test_add_noise_zero_sigma_is_bitwise_identity():
-    vector = np.array([0.1, -2.5, 3.75])
-    assert add_noise(vector, 0.0, seed=4) is vector
-
-
-def test_add_noise_deterministic():
-    vector = np.zeros(32)
-    a = add_noise(vector, 1.5, seed=77)
-    b = add_noise(vector, 1.5, seed=77)
+def test_privatize_noise_deterministic():
+    vector, budget = np.zeros(32), PrivacyBudget()
+    a, _ = privatize(vector, budget, seed=77)
+    b, _ = privatize(vector, budget, seed=77)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, add_noise(vector, 1.5, seed=78))
+    assert not np.array_equal(a, privatize(vector, budget, seed=78)[0])
 
 
-def test_add_noise_moments():
-    noise = add_noise(np.zeros(10_000), 1.0, seed=123)
+def test_privatize_noise_moments():
+    # This clip norm calibrates sigma to 1; a zero update is not clipped, so the output is the noise.
+    budget = PrivacyBudget(clip_norm=1.0 / math.sqrt(2.0 * math.log(1.25 / 1e-5)))
+    noise, receipt = privatize(np.zeros(10_000), budget, seed=123)
+    assert receipt.sigma == pytest.approx(1.0)
     assert abs(float(noise.mean())) < 0.05
-    assert abs(float(noise.std()) - 1.0) < 0.05
+    assert abs(float(noise.std()) - receipt.sigma) < 0.05
 
 
 def test_privatize_disabled_is_identity():
