@@ -695,6 +695,36 @@ def test_baseline_ignores_federation_only_settings(tmp_path, name):
     assert digest == BASELINE_METRICS_SHA256[config]
 
 
+# sha256 of metrics.csv and clients.csv of a 30-round privacy-derived simulate
+# of iid_baseline.cfg, where client 1's epsilon of 0.5 shrinks its weight.
+PRIVACY_DERIVED = [
+    'policy={"kind":"custom_weighted","privacy_derived":true}',
+    "privacy.enabled=true",
+    'privacy.client_overrides={"1":{"epsilon":0.5}}',
+]
+PRIVACY_DERIVED_SHA256 = {
+    "as_is": (
+        [],
+        "cfe7f324730f76b3142a76553d8fbb94c0605836ed1c8dad831185ee49bb34da",
+        "7003d32f30cac6963a217a1b963e7444fba22e92b1849139e6c48a4a40a4f491",
+    ),
+    "half_secure": (
+        ["schedule.participation_fraction=0.5", "secure_aggregation=true"],
+        "7fb732629e970b8097e920bbe8bdbc7e03070762603d15b594adcc8e62e2b1a2",
+        "4f5e0bb2cae49d913d443856037af00d6d13516402321621e6884493cb80382c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIVACY_DERIVED_SHA256))
+def test_privacy_derived_simulate_bytes_are_pinned(tmp_path, name):
+    extra, metrics_sha, clients_sha = PRIVACY_DERIVED_SHA256[name]
+    flags = _override_flags([*PRIVACY_DERIVED, *extra])
+    assert main(["simulate", "--config", "configs/iid_baseline.cfg", "--out", str(tmp_path), *flags]) == 0
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("metrics.csv", "clients.csv")]
+    assert digests == [metrics_sha, clients_sha]
+
+
 def test_dp_accuracy_not_better_than_plain(tmp_path):
     # Noise can only hurt or tie on the bundled config (checked across seeds).
     for i, seed in enumerate(["1000", "1001", "1002", "1003", "1004"]):
