@@ -404,8 +404,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if policy_values["weights"] is not None:
         policy_values["weights"] = _parse_weights(policy_values["weights"], client_count)
     policy = _build(AggregationPolicy, policy_values, "policy", _POLICY)
-    if policy.privacy_derived and policy.weights is not None:
-        raise ConfigError("policy.weights: must be null when privacy_derived derives them")
     if policy.kind == POLICY_CUSTOM and not policy.privacy_derived:
         try:
             policy_coefficients(policy, {cid: 1 for cid in range(client_count)})

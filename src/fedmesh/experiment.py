@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .data import load_csv, partition, synthesize
-from .federation import AggregationPolicy, ClientState, FederationEngine, derive_privacy_weights
+from .federation import AggregationPolicy, ClientState, FederationEngine
 from .model import Dataset
 from .privacy import PrivacyBudget
 from .rng import derive_seed, generator
@@ -86,16 +86,11 @@ def _clients_and_eval_sets(config: ExperimentConfig) -> tuple[list[ClientState],
 def build_engine(config: ExperimentConfig) -> FederationEngine:
     """The federation the config describes."""
     clients, eval_sets = _clients_and_eval_sets(config)
-    policy = config.policy
-    if policy.privacy_derived:
-        weights = derive_privacy_weights(clients, epsilon_cap=policy.epsilon_cap)
-        policy = replace(policy, weights=weights)
-
     return FederationEngine(
         spec=config.model,
         clients=clients,
         schedule=config.schedule,
-        policy=policy,
+        policy=config.policy,
         run_seed=config.seed,
         secure_aggregation=config.secure_aggregation,
         scale_bits=config.scale_bits,

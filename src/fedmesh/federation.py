@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class ClientUpdate:
 class AggregationPolicy:
     """How client updates are weighted into the global step.
 
-    ``privacy_derived`` replaces ``weights`` at set-up time by
-    :func:`derive_privacy_weights` under ``epsilon_cap``.
+    ``privacy_derived`` leaves ``weights`` null; every engine derives them
+    from its clients by :func:`derive_privacy_weights` under ``epsilon_cap``.
     """
 
     kind: str = POLICY_UNIFORM
@@ -143,6 +143,8 @@ class AggregationPolicy:
             raise ValueError("epsilon_cap must be > 0")
         if self.privacy_derived and self.kind != POLICY_CUSTOM:
             raise ValueError(f"privacy_derived only valid with kind {POLICY_CUSTOM}")
+        if self.privacy_derived and self.weights is not None:
+            raise ValueError("weights must be null when privacy_derived derives them")
 
 
 @dataclass(frozen=True)
@@ -412,10 +414,13 @@ class FederationEngine:
             check_dataset(spec, dataset)
         if any(not 0 <= i < dim for i in tracked_indices):
             raise ValueError("tracked index out of range for the model")
+        self.clients = {c.client_id: c for c in sorted(clients, key=lambda c: c.client_id)}
+        if policy.privacy_derived:
+            weights = derive_privacy_weights(list(self.clients.values()), policy.epsilon_cap)
+            policy = replace(policy, weights=weights, privacy_derived=False)
         if policy.kind == POLICY_CUSTOM and policy.weights is None:
             raise ValueError("custom_weighted policy needs weights")
         self.spec = spec
-        self.clients = {c.client_id: c for c in sorted(clients, key=lambda c: c.client_id)}
         self.schedule = schedule
         self.policy = policy
         self.run_seed = run_seed

@@ -378,6 +378,25 @@ def test_privacy_weights_epsilon_to_zero_limit():
     assert weights[1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_engine_derives_privacy_weights_from_its_clients():
+    clients = [
+        _client(0, n=100, budget=PrivacyBudget(epsilon=1.0)),
+        _client(1, n=300, budget=PrivacyBudget(epsilon=8.0)),
+        _client(2, n=200, budget=NO_DP),
+    ]
+    policy = AggregationPolicy("custom_weighted", privacy_derived=True)
+    # Given out of id order, the engine still derives the weights in id order.
+    engine = _engine(clients[::-1], TrainingSchedule(rounds=1), policy=policy)
+    custom = AggregationPolicy("custom_weighted", weights=derive_privacy_weights(clients, 8.0))
+    counts = {c.client_id: len(c.data) for c in clients}
+    assert engine.begin_round(0).coefficients == policy_coefficients(custom, counts)
+
+
+def test_privacy_derived_policy_refuses_weights():
+    with pytest.raises(ValueError, match="weights must be null when privacy_derived derives them"):
+        AggregationPolicy("custom_weighted", weights={0: 1.0, 1: 0.0}, privacy_derived=True)
+
+
 # -- engine rounds ---------------------------------------------------------------
 
 
