@@ -18,6 +18,7 @@ identical runs produce byte-identical files:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -59,9 +60,19 @@ def prepare_output_dir(path: str, force: bool = False) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """An artifact opened for writing; a file that cannot be written is a config error."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"output file {str(path)!r} cannot be written: {exc.strerror}") from None
+
+
 def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
     """One CSV artifact: a header row, then ``rows`` as given."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _artifact(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -146,7 +157,7 @@ def write_manifest(
         ],
     }
     tmp = out_dir / (MANIFEST + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with _artifact(tmp) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(tmp, out_dir / MANIFEST)
