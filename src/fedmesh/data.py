@@ -201,6 +201,8 @@ class CsvSource:
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         if not self.feature_columns or not all(isinstance(c, str) for c in self.feature_columns):
             raise ValueError("feature_columns must be a non-empty list of strings")
+        if len(set(self.feature_columns)) < len(self.feature_columns):
+            raise ValueError("feature_columns must not name a column twice")
         if self.label_column in self.feature_columns:
             raise ValueError("label_column must not also be a feature column")
         if not 0.0 < self.eval_fraction < 1.0:

@@ -242,6 +242,7 @@ def test_csv_header_naming_a_column_twice_is_refused(tmp_path):
         ({"feature_columns": ("x0", 1)}, "feature_columns"),
         ({"label_column": "x1"}, "label_column"),
         ({"eval_fraction": 1.0}, "eval_fraction"),
+        ({"feature_columns": ("x0", "x0")}, "feature_columns"),
     ],
 )
 def test_csv_source_checks_its_fields(fields, needle):
