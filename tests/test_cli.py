@@ -113,6 +113,21 @@ def test_output_path_below_a_file_exits_1_in_one_line(tmp_path, capsys, command)
     ]
 
 
+@pytest.mark.parametrize(
+    "command,artifact",
+    [("simulate", "metrics.csv"), ("simulate", "manifest.json.tmp"), ("baseline", "baseline_metrics.csv")],
+)
+def test_output_file_that_cannot_be_written_exits_1_in_one_line(tmp_path, capsys, command, artifact):
+    # A directory stands where the artifact goes; this was reported as a network error.
+    (tmp_path / artifact).mkdir()
+    args = [command, "--config", "configs/iid_baseline.cfg", "--out", str(tmp_path), "--force", *FAST]
+    assert main(args) == 1
+    path = str(tmp_path / artifact)
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: output file {path!r} cannot be written: Is a directory"
+    ]
+
+
 def _csv_config(tmp_path, header, rows):
     """A two-class config whose one domain reads a CSV file of ``header`` and ``rows`` (bytes)."""
     (tmp_path / "domain.csv").write_bytes(header + b"".join(rows))
@@ -470,6 +485,8 @@ REFUSED_BY_VALIDATE = [
      "policy.weights"),
     ('domains=[{"csv": {"path": "absent.csv", "feature_columns": ["f0", "f1"], "label_column": "f0"}, "tag": "f"}]',
      "domains[0].csv.label_column"),
+    ('domains=[{"csv": {"path": "absent.csv", "feature_columns": ["a", "a"], "label_column": "label"}, "tag": "f"}]',
+     "domains[0].csv.feature_columns"),
     ("policy.epsilon_cap=Infinity", "policy.epsilon_cap"),
     ("schedule.learning_rate=Infinity", "schedule.learning_rate"),
     ("schedule.learning_rate=NaN", "schedule.learning_rate"),
