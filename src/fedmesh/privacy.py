@@ -75,20 +75,31 @@ class NoiseReceipt:
             raise ValueError("sigma is 0 exactly when mechanism is 'none'")
 
 
+def _l2_norm(values: np.ndarray) -> float:
+    """The L2 norm; ``inf``, without a warning, when it is beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(values))
+
+
 def clip(values: np.ndarray, clip_norm: float) -> tuple[np.ndarray, bool, float]:
     """Scale ``values`` onto the L2 ball of radius ``clip_norm``.
 
     Returns ``(clipped, clip_applied, pre_clip_norm)``.  Inputs already
-    inside the ball are returned unchanged (same object, no copy).
+    inside the ball are returned unchanged (same object, no copy).  A
+    finite input whose norm overflows reports ``inf`` and is divided by
+    its largest magnitude before it is scaled.
     """
     if not clip_norm > 0:
         raise ValueError("clip_norm must be > 0")
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("cannot clip non-finite values")
-    norm = float(np.linalg.norm(values))
+    norm = _l2_norm(values)
     if norm <= clip_norm:
         return values, False, norm
+    if norm == math.inf:
+        unit = values / np.max(np.abs(values))
+        return unit * (clip_norm / float(np.linalg.norm(unit))), True, norm
     return values * (clip_norm / norm), True, norm
 
 
@@ -119,7 +130,7 @@ def privatize(
         receipt = NoiseReceipt(
             sigma=0.0,
             clip_applied=False,
-            pre_clip_norm=float(np.linalg.norm(values)),
+            pre_clip_norm=_l2_norm(values),
             mechanism=MECHANISM_NONE,
         )
         return values, receipt

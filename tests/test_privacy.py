@@ -43,6 +43,32 @@ def test_clip_norm_property(dim, clip_norm, seed):
     assert post == pytest.approx(min(pre, clip_norm), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@given(
+    st.lists(st.floats(min_value=-1e308, max_value=1e308), min_size=1, max_size=40),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_clip_of_any_finite_vector_is_finite_and_on_the_ball(raw, clip_norm):
+    # A norm beyond the float range used to zero the clipped update.
+    values = np.array(raw)
+    clipped, applied, pre = clip(values, clip_norm)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    assert pre == norm and privatize(values, PrivacyBudget(enabled=False), 0)[1].pre_clip_norm == norm
+    assert np.all(np.isfinite(clipped))
+    assert applied == (norm > clip_norm)
+    if not applied:
+        assert clipped is values
+        return
+    assert float(np.linalg.norm(clipped)) <= clip_norm * (1 + 1e-12)
+    unit = values / np.max(np.abs(values))
+    direction = clip_norm * unit / np.linalg.norm(unit)
+    np.testing.assert_allclose(clipped, direction, rtol=1e-12, atol=clip_norm * 1e-12)
+    if math.isfinite(norm):
+        assert clipped.tobytes() == (values * (clip_norm / norm)).tobytes()
+
+
 def test_clip_rejects_non_finite():
     with pytest.raises(ValueError):
         clip(np.array([np.nan, 1.0]), 1.0)
