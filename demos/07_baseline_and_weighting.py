@@ -3,11 +3,21 @@
 Under an IID partition the federated model tracks the centralized
 baseline closely.  Under severe label skew (dirichlet alpha = 0.05) the
 gap can widen - recorded here for reference, not asserted.  The last
-section shows the weighting policy that down-weights clients with strict
-privacy budgets.
+section builds a library engine under the privacy-derived policy, which
+down-weights clients with strict privacy budgets, and prints its round-0
+coefficients.
 """
 
-from fedmesh import ClientState, PrivacyBudget, builtin_recipe, derive_privacy_weights, synthesize
+from fedmesh import (
+    AggregationPolicy,
+    ClientState,
+    FederationEngine,
+    ModelSpec,
+    PrivacyBudget,
+    TrainingSchedule,
+    builtin_recipe,
+    synthesize,
+)
 from fedmesh.config import load_config
 from fedmesh.experiment import build_baseline, build_engine
 
@@ -32,7 +42,15 @@ clients = [
     ClientState(1, "loose", synthesize(builtin_recipe("financial"), 100, 2), PrivacyBudget(epsilon=8.0)),
     ClientState(2, "open", synthesize(builtin_recipe("user"), 100, 3), PrivacyBudget(enabled=False)),
 ]
-weights = derive_privacy_weights(clients, epsilon_cap=8.0)
-print("\nprivacy-derived aggregation weights (equal data sizes):")
+engine = FederationEngine(
+    ModelSpec(feature_dim=2, class_count=3),
+    clients,
+    TrainingSchedule(rounds=1),
+    AggregationPolicy("custom_weighted", privacy_derived=True, epsilon_cap=8.0),
+    run_seed=0,
+    eval_sets={"medical": synthesize(builtin_recipe("medical"), 90, 4)},
+)
+coefficients = engine.begin_round(0).coefficients
+print("\nprivacy-derived round-0 coefficients of a library engine (equal data sizes):")
 for client in clients:
-    print(f"  client {client.client_id} ({client.domain_tag:<6}): {weights[client.client_id]:.4f}")
+    print(f"  client {client.client_id} ({client.domain_tag:<6}): {coefficients[client.client_id]:.4f}")

@@ -61,7 +61,7 @@ def prepare_output_dir(path: str, force: bool = False) -> Path:
 
 
 @contextlib.contextmanager
-def _artifact(path: Path):
+def _open_artifact(path: Path):
     """An artifact opened for writing; a file that cannot be written is a config error."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -72,7 +72,7 @@ def _artifact(path: Path):
 
 def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
     """One CSV artifact: a header row, then ``rows`` as given."""
-    with _artifact(path) as handle:
+    with _open_artifact(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -157,7 +157,7 @@ def write_manifest(
         ],
     }
     tmp = out_dir / (MANIFEST + ".tmp")
-    with _artifact(tmp) as handle:
+    with _open_artifact(tmp) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(tmp, out_dir / MANIFEST)

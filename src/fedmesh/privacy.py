@@ -98,8 +98,8 @@ def clip(values: np.ndarray, clip_norm: float) -> tuple[np.ndarray, bool, float]
     if norm <= clip_norm:
         return values, False, norm
     if norm == math.inf:
-        unit = values / np.max(np.abs(values))
-        return unit * (clip_norm / float(np.linalg.norm(unit))), True, norm
+        scaled = values / np.max(np.abs(values))
+        return scaled * (clip_norm / float(np.linalg.norm(scaled))), True, norm
     return values * (clip_norm / norm), True, norm
 
 
