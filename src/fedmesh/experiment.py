@@ -36,16 +36,23 @@ def _clients_and_eval_sets(config: ExperimentConfig) -> tuple[list[ClientState],
     clients: list[ClientState] = []
     eval_sets: dict[str, Dataset] = {}
     next_id = 0
+    first_csv = None  # (index, label names) of the first CSV domain
     for index, domain in enumerate(config.domains):
         if domain.csv is not None:
             try:
-                full, _ = load_csv(domain.csv)
+                full, labels = load_csv(domain.csv)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"domains[{index}].csv: {exc}") from None
             if full.class_count != config.model.class_count:
                 raise ConfigError(
                     f"domains[{index}].csv: file has {full.class_count} classes, "
                     f"model expects {config.model.class_count}"
+                )
+            first_csv = first_csv or (index, labels)
+            if labels != first_csv[1]:  # class k must name the same label in every domain
+                raise ConfigError(
+                    f"domains[{index}].csv: labels {labels} differ from "
+                    f"domains[{first_csv[0]}].csv's {first_csv[1]}"
                 )
             train, held_out = _split_csv_domain(
                 full, domain.csv.eval_fraction, derive_seed(config.seed, "csvsplit", index)

@@ -145,6 +145,8 @@ class AggregationPolicy:
             raise ValueError(f"privacy_derived only valid with kind {POLICY_CUSTOM}")
         if self.privacy_derived and self.weights is not None:
             raise ValueError("weights must be null when privacy_derived derives them")
+        if self.weights is not None and self.kind != POLICY_CUSTOM:
+            raise ValueError(f"weights must be null unless kind is {POLICY_CUSTOM}")
 
 
 @dataclass(frozen=True)
@@ -400,6 +402,8 @@ class FederationEngine:
         ids = [c.client_id for c in clients]
         if len(set(ids)) != len(ids):
             raise ValueError("client ids must be unique")
+        if any(not 0 <= cid < 2**64 for cid in ids):  # seeds are derived from 64-bit ids
+            raise ValueError("client ids must lie in [0, 2^64)")
         dim = param_dim(spec)
         for client in clients:
             try:

@@ -61,13 +61,19 @@ def prepare_output_dir(path: str, force: bool = False) -> Path:
 
 
 @contextlib.contextmanager
-def _open_artifact(path: Path):
-    """An artifact opened for writing; a file that cannot be written is a config error."""
+def _writing(path: Path):
+    """A file that cannot be written at ``path`` is a config error."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            yield handle
+        yield
     except OSError as exc:
         raise ConfigError(f"output file {str(path)!r} cannot be written: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _open_artifact(path: Path):
+    """An artifact opened for writing."""
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as handle:
+        yield handle
 
 
 def _write_table(path: Path, header: tuple[str, ...], rows) -> None:
@@ -160,7 +166,8 @@ def write_manifest(
     with _open_artifact(tmp) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, out_dir / MANIFEST)
+    with _writing(out_dir / MANIFEST):
+        os.replace(tmp, out_dir / MANIFEST)
 
 
 def write_run_artifacts(

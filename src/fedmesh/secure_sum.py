@@ -2,8 +2,8 @@
 
 Each pair of clients shares a 64-bit seed (a simulation stand-in for key
 agreement; see :class:`PairwiseSeedMatrix`).  The seeds form one table,
-derived in a vector pass, whose entry for ids ``a < b`` equals
-``derive_seed(root, "pair", a, b)``.  Per round, client ``i`` adds
+derived in a vector pass and read by id value; its entry for ``a < b``
+equals ``derive_seed(root, "pair", a, b)``.  Per round, client ``i`` adds
 the pair's pseudorandom mask words for every peer ``j > i`` and subtracts
 them for every ``j < i``, all modulo 2^64.  Summing the masked shares
 cancels every mask exactly, so the modular sum equals the sum of the
@@ -100,13 +100,13 @@ class PairwiseSeedMatrix:
     Stands in for pairwise key agreement: in this simulator the seeds are
     derived from the experiment root seed, and the aggregator simply never
     consults them.  The seeds form one dense, symmetric ``(N, N)`` uint64
-    table over the sorted client ids, derived in one vector pass; the entry
-    for ids ``a < b`` equals ``derive_seed(root, "pair", a, b)``.  Accessors
-    are symmetric: ``seed_for(i, j) == seed_for(j, i)``.
+    table over the sorted client ids, derived in one vector pass and read
+    by id value; the entry for ``a < b`` is ``derive_seed(root, "pair", a, b)``.
+    Accessors are symmetric: ``seed_for(i, j) == seed_for(j, i)``.
     """
 
     def __init__(self, ids: np.ndarray, table: np.ndarray):
-        self._ids = ids
+        self._rows = {c: row for row, c in enumerate(ids.tolist())}
         self._table = table
 
     @classmethod
@@ -119,20 +119,18 @@ class PairwiseSeedMatrix:
         return cls(ids, upper + upper.T)
 
     def peer_seeds(self, a: int, peers: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Seeds of the pairs ``(a, p)`` for ``p`` in ``peers``, by one table
-        lookup, and whether each ``p`` is above ``a``.  An id outside the
-        table, or ``p == a``, aborts naming the first pair without a seed."""
-        query = np.asarray([a, *peers])
-        if self._ids.size and query.dtype.kind in "iu" and query.min() >= 0:
-            query = query.astype(np.uint64)
-            pos = np.minimum(np.searchsorted(self._ids, query), self._ids.size - 1)
-            if np.array_equal(self._ids[pos], query) and not np.any(pos[1:] == pos[0]):
-                return self._table[pos[0], pos[1:]], pos[1:] > pos[0]
-        known = set(self._ids.tolist())
-        for b in peers:
-            if a not in known or b not in known or a == b:
-                raise SecureSumAbort(f"missing pair seed for clients ({a}, {b})")
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
+        """Seeds of the pairs ``(a, p)`` for ``p`` in ``peers``, looked up by
+        value (``1.0`` finds client 1), and whether each ``p`` is above ``a``.
+        An id outside the table, or ``p == a``, aborts naming that pair."""
+        row = self._rows.get(a)
+        cols = [self._rows.get(p) for p in peers]
+        for p, col in zip(peers, cols):
+            if row is None or col is None or col == row:
+                raise SecureSumAbort(f"missing pair seed for clients ({a}, {p})")
+        if not cols:
+            return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
+        cols = np.array(cols)
+        return self._table[row, cols], cols > row
 
     def seed_for(self, a: int, b: int) -> int:
         return int(self.peer_seeds(a, [b])[0][0])

@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ROOT, run_python
+from conftest import ROOT, run_python, write_dataset_csv
 from fedmesh.cli import main
 from fedmesh.config import load_config
 from fedmesh.experiment import build_engine
+from fedmesh.model import Dataset
 from fedmesh.transport import FLAG_SECURE, FLAG_SELECTED
 
 CONFIG = "configs/three_domains.cfg"
@@ -115,7 +116,13 @@ def test_output_path_below_a_file_exits_1_in_one_line(tmp_path, capsys, command)
 
 @pytest.mark.parametrize(
     "command,artifact",
-    [("simulate", "metrics.csv"), ("simulate", "manifest.json.tmp"), ("baseline", "baseline_metrics.csv")],
+    [
+        ("simulate", "metrics.csv"),
+        ("simulate", "manifest.json.tmp"),
+        ("simulate", "manifest.json"),
+        ("baseline", "baseline_metrics.csv"),
+        ("baseline", "manifest.json"),
+    ],
 )
 def test_output_file_that_cannot_be_written_exits_1_in_one_line(tmp_path, capsys, command, artifact):
     # A directory stands where the artifact goes; this was reported as a network error.
@@ -161,6 +168,31 @@ def test_csv_domain_naming_a_column_twice_exits_1_in_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
     message = f"{tmp_path / 'domain.csv'}: column 'a' appears more than once in the header"
     assert capsys.readouterr().err.splitlines() == [f"config error: domains[0].csv: {message}"]
+
+
+MISMATCHED_LABELS = (
+    "config error: domains[1].csv: labels ('high', 'low', 'medium') "
+    "differ from domains[0].csv's ('mild', 'moderate', 'severe')"
+)
+
+
+@pytest.mark.parametrize(
+    "bank_labels,code,err",
+    [(("mild", "moderate", "severe"), 0, []), (("high", "low", "medium"), 1, [MISMATCHED_LABELS])],
+    ids=["same", "different"],
+)
+def test_csv_domains_must_share_label_names(tmp_path, capsys, bank_labels, code, err):
+    # Label names map to classes in sorted order per file, so 'high' would train as 'mild'.
+    dataset = Dataset(np.random.default_rng(3).normal(0, 1, (30, 2)), np.arange(30) % 3, 3)
+    domains = []
+    for tag, labels in [("hospital", ("mild", "moderate", "severe")), ("bank", bank_labels)]:
+        write_dataset_csv(tmp_path / f"{tag}.csv", dataset, ("a", "b", "label"), labels)
+        csv_source = {"path": str(tmp_path / f"{tag}.csv"), "feature_columns": ["a", "b"], "label_column": "label"}
+        domains.append({"tag": tag, "csv": csv_source})
+    config = {"seed": 1, "model": {"feature_dim": 2, "class_count": 3}, "domains": domains, "schedule": {"rounds": 2}}
+    (tmp_path / "csv.cfg").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "csv.cfg"), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.splitlines() == err
 
 
 def test_bad_config_exits_1(tmp_path):
@@ -504,10 +536,17 @@ WEIGHTS_BESIDE_DERIVED = (
 )
 
 
+# Weights beside a kind that does not read them: a run dropped them silently.
+WEIGHTS_BESIDE_SIZE_WEIGHTED = (
+    'policy.weights={"0":100.0,"1":0.0,"2":0.0,"3":0.0}',
+    "policy.weights",
+)
+
+
 @pytest.mark.parametrize(
     "override,key",
-    [*REFUSED_BY_VALIDATE, WEIGHTS_BESIDE_DERIVED],
-    ids=[*(k for _, k in REFUSED_BY_VALIDATE), "policy.weights-privacy_derived"],
+    [*REFUSED_BY_VALIDATE, WEIGHTS_BESIDE_DERIVED, WEIGHTS_BESIDE_SIZE_WEIGHTED],
+    ids=[*(k for _, k in REFUSED_BY_VALIDATE), "policy.weights-privacy_derived", "policy.weights-size_weighted"],
 )
 def test_validate_refuses_in_one_line_what_a_run_would_refuse(capsys, override, key):
     assert main(["validate", "--config", "configs/iid_baseline.cfg", "--override", override]) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -397,6 +398,12 @@ def test_privacy_derived_policy_refuses_weights():
         AggregationPolicy("custom_weighted", weights={0: 1.0, 1: 0.0}, privacy_derived=True)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "size_weighted"])
+def test_weights_beside_a_kind_that_ignores_them_are_refused(kind):
+    with pytest.raises(ValueError, match="weights must be null unless kind is custom_weighted"):
+        AggregationPolicy(kind, weights={0: 100.0, 1: 0.0})
+
+
 # -- engine rounds ---------------------------------------------------------------
 
 
@@ -561,6 +568,13 @@ def test_secure_round_with_partial_participation():
 def test_engine_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="unique"):
         _engine([_client(0), _client(0)], TrainingSchedule(rounds=1))
+
+
+@pytest.mark.parametrize("cid", [-1, 2**64])
+def test_engine_rejects_ids_outside_64_bits(cid):
+    # Noise and pair seeds are derived from the id as an unsigned 64-bit label.
+    with pytest.raises(ValueError, match=re.escape("client ids must lie in [0, 2^64)")):
+        _engine([_client(cid, seed=7), _client(0)], TrainingSchedule(rounds=1))
 
 
 def test_tracked_values_follow_domains():

@@ -319,3 +319,20 @@ def test_empty_seed_table_aborts():
     matrix = PairwiseSeedMatrix.from_root_seed(8, [])
     with pytest.raises(SecureSumAbort, match=r"missing pair seed for clients \(0, 1\)"):
         mask(CODEC.encode(np.ones(3)), 0, matrix, [0, 1], 0)
+
+
+@pytest.mark.parametrize("participants", [[0.0, 1.0, 2.0], np.array([0, 1, 2], dtype=np.float64)])
+def test_float_ids_mask_like_int_ids(participants):
+    # Ids are looked up by value: 1.0 is client 1, so the share is masked.
+    matrix = PairwiseSeedMatrix.from_root_seed(5, [0, 1, 2])
+    encoded = CODEC.encode(np.array([0.25, -0.5]))
+    share = mask(encoded, 0, matrix, participants, 3).masked_values
+    assert np.array_equal(share, mask(encoded, 0, matrix, [0, 1, 2], 3).masked_values)
+    assert not np.array_equal(share, encoded)
+
+
+def test_an_absent_client_with_no_peers_keeps_its_words():
+    matrix = PairwiseSeedMatrix.from_root_seed(8, [0, 1, 2])
+    encoded = CODEC.encode(np.array([1.5, -2.0]))
+    assert np.array_equal(mask(encoded, 5, matrix, [5], 0).masked_values, encoded)
+    assert np.array_equal(mask(encoded, 5, matrix, [], 0).masked_values, encoded)
