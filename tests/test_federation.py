@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fedmesh.federation
+from fedmesh.config import load_config
 from fedmesh.data import builtin_recipe, synthesize
+from fedmesh.experiment import build_engine
 from fedmesh.federation import (
     GLOBAL_TAG,
     AggregationPolicy,
@@ -26,7 +28,7 @@ from fedmesh.federation import (
 from fedmesh.model import Dataset, ModelSpec, init_params, loss, param_dim
 from fedmesh.privacy import MECHANISM_NONE, NoiseReceipt, PrivacyBudget
 
-from conftest import flag_clients
+from conftest import ROOT, flag_clients
 
 SPEC = ModelSpec(feature_dim=2, class_count=3)
 NO_DP = PrivacyBudget(enabled=False)
@@ -149,6 +151,31 @@ def test_local_train_minibatch_trajectory_is_pinned():
         "d14e522428f30af75362156fdeb25e223d17370fd77f6903b2318c400ab7bd7f"
     )
     assert (update.loss_before, update.loss_after) == (1.0986122886681096, 0.3164765888328228)
+
+
+def test_minibatch_federation_is_pinned():
+    # Nine Dirichlet-skewed shards under batch 32: most end in a short
+    # minibatch, and the 29-row shard takes full-batch steps.
+    overrides = [f"domains.{i}.clients=3" for i in range(3)] + [
+        "partition.scheme=dirichlet_label_skew",
+        "partition.dirichlet_alpha=0.5",
+        "schedule.rounds=3",
+        "schedule.batch_size=32",
+    ]
+    engine = build_engine(load_config(str(ROOT / "configs/three_domains.cfg"), overrides))
+    sizes = [len(c.data) for c in engine.clients.values()]
+    assert any(n > 32 and n % 32 for n in sizes) and min(sizes) < 32
+    reports = engine.run()
+    losses = np.array(
+        [(c.loss_before, c.loss_after) for report in reports for c in report.clients]
+    )
+    assert losses.shape == (27, 2)
+    assert hashlib.sha256(engine.params.tobytes()).hexdigest() == (
+        "42ab1cba7677d5d6158df30232ae66afc8f639f2cb4ac6e700f1b0ada905802c"
+    )
+    assert hashlib.sha256(losses.tobytes()).hexdigest() == (
+        "5455da3df764b66708d116e3a8f366b9e75c81471b83b0b1d464a3d78ac2cd5c"
+    )
 
 
 def test_local_train_divergence_flags_update():
