@@ -116,7 +116,7 @@ class ClientUpdate:
         self.delta = np.asarray(self.delta, dtype=np.float64)
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if not self.diverged and not np.all(np.isfinite(self.delta)):
+        if not self.diverged and not np.isfinite(self.delta).all():
             raise ValueError("non-flagged update has non-finite delta")
 
 
@@ -216,16 +216,17 @@ def _descent_epochs(
                 if epoch:
                     grad = gradient(spec, theta, dataset)
                 theta = theta - lr * grad
-                if not np.all(np.isfinite(theta)):
+                if not np.isfinite(theta).all():
                     break
         else:
             rng = generator(derive_seed(run_seed, "shuffle", shuffle_id, round_index))
             for _ in range(epochs):
                 order = rng.permutation(len(y))
-                for start in range(0, len(order), batch_size):
-                    rows = order[start : start + batch_size]
-                    theta = theta - lr * step(spec, theta, x[rows], y[rows])[0]
-                    if not np.all(np.isfinite(theta)):
+                xs, ys = x[order], y[order]
+                for start in range(0, len(ys), batch_size):
+                    rows = slice(start, start + batch_size)
+                    theta = theta - lr * step(spec, theta, xs[rows], ys[rows])[0]
+                    if not np.isfinite(theta).all():
                         return theta, start_loss
     return theta, start_loss
 
@@ -258,7 +259,7 @@ def local_train(
         client.client_id,
         round_index,
     )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         log.warning(
             "client %d diverged in round %d; flagging update", client.client_id, round_index
         )

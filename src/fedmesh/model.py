@@ -64,7 +64,7 @@ class Dataset:
             raise ValueError("labels must be 1-D with one entry per example")
         if len(self.labels) == 0:
             raise ValueError("empty dataset")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
@@ -108,7 +108,7 @@ def check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"parameter vector has dim {params.shape}, expected ({param_dim(spec)},)"
         )
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ValueError("parameter vector contains non-finite values")
     return params
 
@@ -145,7 +145,9 @@ def check_dataset(spec: ModelSpec, dataset: Dataset) -> None:
 def _logits_pass(spec: ModelSpec, params: np.ndarray, features: np.ndarray):
     """Logits, their row maxima, the max-shifted exponentials and their row sums."""
     logits = batch_logits(spec, params, features)
-    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    # Reduced down a contiguous copy's columns, each row meets the same
+    # comparisons in the same order, without numpy's per-row inner loop.
+    zmax = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
     exps = np.exp(logits - zmax)
     return logits, zmax, exps, np.add.reduce(exps, axis=1, keepdims=True)
 
@@ -200,7 +202,7 @@ def step(
     with quiet:
         n = len(labels)
         probs /= sums
-        probs[np.arange(n), labels] -= 1.0
+        probs.reshape(-1)[np.arange(0, probs.size, spec.class_count) + labels] -= 1.0
         probs /= n
         grad = np.empty_like(params).reshape(spec.class_count, spec.feature_dim + 1)
         grad[:, : spec.feature_dim] = probs.T @ features

@@ -167,7 +167,11 @@ def write_manifest(
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     with _writing(out_dir / MANIFEST):
-        os.replace(tmp, out_dir / MANIFEST)
+        try:
+            os.replace(tmp, out_dir / MANIFEST)
+        except OSError:
+            tmp.unlink()
+            raise
 
 
 def write_run_artifacts(

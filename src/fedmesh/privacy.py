@@ -92,7 +92,7 @@ def clip(values: np.ndarray, clip_norm: float) -> tuple[np.ndarray, bool, float]
     if not clip_norm > 0:
         raise ValueError("clip_norm must be > 0")
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("cannot clip non-finite values")
     norm = _l2_norm(values)
     if norm <= clip_norm:

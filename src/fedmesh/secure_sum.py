@@ -63,9 +63,9 @@ class FixedPointCodec:
         error is at most 2^-(scale_bits+1) per coordinate.
         """
         values = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("cannot encode non-finite values")
-        if np.any(np.abs(values) >= self.max_magnitude):
+        if (np.abs(values) >= self.max_magnitude).any():
             raise OverflowError(
                 f"value out of representable range (|v| < {self.max_magnitude:g})"
             )
@@ -121,12 +121,17 @@ class PairwiseSeedMatrix:
     def peer_seeds(self, a: int, peers: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Seeds of the pairs ``(a, p)`` for ``p`` in ``peers``, looked up by
         value (``1.0`` finds client 1), and whether each ``p`` is above ``a``.
-        An id outside the table, or ``p == a``, aborts naming that pair."""
+        An id outside the table, ``p == a``, or a peer listed twice aborts
+        naming that pair."""
         row = self._rows.get(a)
         cols = [self._rows.get(p) for p in peers]
+        seen = set()
         for p, col in zip(peers, cols):
             if row is None or col is None or col == row:
                 raise SecureSumAbort(f"missing pair seed for clients ({a}, {p})")
+            if col in seen:
+                raise SecureSumAbort(f"pair ({a}, {p}) listed twice")
+            seen.add(col)
         if not cols:
             return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
         cols = np.array(cols)
@@ -156,15 +161,16 @@ def mask(
     Pair masks are added toward higher-id peers and subtracted toward
     lower-id peers, so they cancel in the participant-set sum.  Row ``p``
     of the ``(peers, dim)`` block equals ``mask_words`` for peer ``p``; the
-    uint64 sums wrap mod 2^64, so their order does not matter.
+    rows of lower peers are negated in place and the block is added in one
+    signed sum, which wraps mod 2^64, so its order does not matter.
     """
     encoded = np.asarray(encoded, dtype=np.uint64)
     pair_seeds, higher = seeds.peer_seeds(client_id, [p for p in participants if p != client_id])
     keys = mix64_array(pair_seeds + np.uint64(GOLDEN * (round_index + 1) & MASK64))
     counters = np.arange(1, encoded.shape[0] + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     words = mix64_array(keys[:, None] + counters)
-    masked = encoded + words[higher].sum(axis=0, dtype=np.uint64)
-    masked -= words[~higher].sum(axis=0, dtype=np.uint64)
+    np.negative(words, out=words, where=~higher[:, None])
+    masked = encoded + words.sum(axis=0, dtype=np.uint64)
     return MaskedShare(client_id=client_id, round_index=round_index, masked_values=masked)
 
 

@@ -220,7 +220,7 @@ def _checked_params(values: np.ndarray) -> np.ndarray:
         raise FrameError("parameter vector must be 1-D")
     if values.shape[0] >= 2**24:
         raise FrameError("parameter dimension exceeds 2^24")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise FrameError("non-finite parameters")
     return values
 

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedmesh.model import (
     Dataset,
+    _logits_pass,
     ModelSpec,
     batch_logits,
     gradient,
@@ -243,3 +246,87 @@ def test_step_kernel_is_bitwise_the_two_pass_reference(n, d, k, l2, scale, seed)
     cross_entropy, logits = row_losses(spec, params, dataset.features, dataset.labels)
     assert _bits(mean_loss(spec, params, cross_entropy)) == _bits(want_loss)
     assert np.array_equal(np.argmax(logits, axis=1), predict_classes(spec, params, dataset.features))
+
+
+
+def _per_row_pass(spec, params, features):
+    """``_logits_pass`` with the maximum taken along each row."""
+    logits = batch_logits(spec, params, features)
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    exps = np.exp(logits - zmax)
+    return logits, zmax, exps, np.add.reduce(exps, axis=1, keepdims=True)
+
+
+def _per_row_losses(spec, params, features, labels):
+    logits, zmax, _, sums = _per_row_pass(spec, params, features)
+    return zmax[:, 0] + np.log(sums[:, 0]) - logits[np.arange(len(labels)), labels], logits
+
+
+def _per_row_step(spec, params, features, labels, with_loss):
+    """``step`` over ``_per_row_pass``, gathering the true classes by a 2-D index."""
+    logits, zmax, probs, sums = _per_row_pass(spec, params, features)
+    n = len(labels)
+    value = None
+    quiet = contextlib.nullcontext()
+    if with_loss:
+        cross_entropy = zmax[:, 0] + np.log(sums[:, 0]) - logits[np.arange(n), labels]
+        value = mean_loss(spec, params, cross_entropy)
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        probs /= sums
+        probs[np.arange(n), labels] -= 1.0
+        probs /= n
+        grad = np.empty_like(params).reshape(spec.class_count, spec.feature_dim + 1)
+        grad[:, : spec.feature_dim] = probs.T @ features
+        grad[:, spec.feature_dim] = np.add.reduce(probs, axis=0)
+        if spec.l2_coefficient > 0.0:
+            weights, _ = unpack(spec, params)
+            grad[:, : spec.feature_dim] += spec.l2_coefficient * weights
+    return grad.ravel(), value
+
+
+def _recorded(call, *args):
+    """The bytes of ``call(*args)``'s arrays and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return [_bits(a) for a in result], [(w.category, str(w.message)) for w in caught]
+
+
+_SIGNED_ZEROS = (
+    [[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -0.0], [-0.0, 2.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.0, 0.0, 0.0]],
+)
+_HUGE = (
+    [[2.0, 2.0], [2.0, -2.0], [1.0, 0.0], [3.0, 0.0], [-3.0, 1.0]],
+    [[1e308, 1e308, 0.0], [-1e308, 1e308, -0.0], [1e308, -1e308, 0.0]],
+)
+_NAN_LOGIT = (
+    [[2.0, 1.0, -2.0, 1e10]],
+    [
+        [0.5, 0.5, -1e300, -1e300, -1e308],
+        [1e308, 1e300, 1e308, 0.5, -1e300],
+        [1e300, 1e300, 1e300, 1e300, 1e308],
+    ],
+)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "features, table",
+    [_SIGNED_ZEROS, _HUGE, _NAN_LOGIT],
+    ids=["signed_zeros", "huge", "nan_logit"],
+)
+def test_row_max_keeps_the_bytes_and_warnings_of_a_per_row_max(features, table, l2):
+    # Rows of tied zeros, +-inf logits, a NaN logit and NaN from inf - inf.
+    # The products are summed from +0, so the tied zeros are all +0.
+    features, params = np.array(features), np.array(table).ravel()
+    spec = ModelSpec(features.shape[1], 3, l2_coefficient=l2)
+    args = (spec, params, features)
+    labels = np.arange(len(features)) % 3
+    assert _recorded(_logits_pass, *args) == _recorded(_per_row_pass, *args)
+    assert _recorded(row_losses, *args, labels) == _recorded(_per_row_losses, *args, labels)
+    for with_loss in (True, False):
+        assert _recorded(step, *args, labels, with_loss) == _recorded(
+            _per_row_step, *args, labels, with_loss
+        )

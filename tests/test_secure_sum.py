@@ -336,3 +336,13 @@ def test_an_absent_client_with_no_peers_keeps_its_words():
     encoded = CODEC.encode(np.array([1.5, -2.0]))
     assert np.array_equal(mask(encoded, 5, matrix, [5], 0).masked_values, encoded)
     assert np.array_equal(mask(encoded, 5, matrix, [], 0).masked_values, encoded)
+
+
+@pytest.mark.parametrize("participants", [[0, 1, 1, 2], [0, 1, 2, 1.0]])
+def test_a_peer_listed_twice_aborts(participants):
+    # Its pair's words would be added twice, so the masks would not cancel.
+    matrix = PairwiseSeedMatrix.from_root_seed(5, [0, 1, 2])
+    with pytest.raises(SecureSumAbort, match=re.escape("pair (0, 1")):
+        mask(CODEC.encode([1.0]), 0, matrix, participants, 0)
+    with pytest.raises(SecureSumAbort, match=re.escape("pair (2, 1")):
+        mask(CODEC.encode([1.0]), 2, matrix, participants, 0)
