@@ -145,8 +145,8 @@ def check_dataset(spec: ModelSpec, dataset: Dataset) -> None:
 def _logits_pass(spec: ModelSpec, params: np.ndarray, features: np.ndarray):
     """Logits, their row maxima, the max-shifted exponentials and their row sums."""
     logits = batch_logits(spec, params, features)
-    # Reduced down a contiguous copy's columns, each row meets the same
-    # comparisons in the same order, without numpy's per-row inner loop.
+    # Taken down the columns of a contiguous copy in one pass rather than by
+    # numpy's inner loop once per row; the maximum is exact either way.
     zmax = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
     exps = np.exp(logits - zmax)
     return logits, zmax, exps, np.add.reduce(exps, axis=1, keepdims=True)
