@@ -135,7 +135,6 @@ def test_output_file_that_cannot_be_written_exits_1_in_one_line(tmp_path, capsys
     ]
 
 
-
 @pytest.mark.parametrize("command", ["simulate", "baseline"])
 def test_a_manifest_that_cannot_be_replaced_leaves_no_tmp_file(tmp_path, capsys, command):
     (tmp_path / "manifest.json").mkdir()
@@ -145,6 +144,7 @@ def test_a_manifest_that_cannot_be_replaced_leaves_no_tmp_file(tmp_path, capsys,
     assert "cannot be written: Is a directory" in capsys.readouterr().err
     assert "manifest.json.tmp" not in [p.name for p in tmp_path.iterdir()]
     assert [p.name for p in (tmp_path / "manifest.json").iterdir()] == ["x"]
+
 
 def _csv_config(tmp_path, header, rows):
     """A two-class config whose one domain reads a CSV file of ``header`` and ``rows`` (bytes)."""
