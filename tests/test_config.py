@@ -212,6 +212,23 @@ def test_apply_overrides_errors():
         apply_overrides(_raw(), ["domains.notanumber.clients=2"])
 
 
+def test_apply_overrides_index_into_lists():
+    raw = _raw(tracked_indices=[0, 1, 2])
+    out = apply_overrides(raw, ["tracked_indices.1=5", "domains.0.clients=2"])
+    assert out["tracked_indices"] == [0, 5, 2]
+    assert out["domains"][0]["clients"] == 2
+    assert raw["tracked_indices"] == [0, 1, 2]  # original untouched
+
+
+@pytest.mark.parametrize("segment", ["7", "a"])
+def test_apply_overrides_refuse_a_bad_last_index(segment):
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(_raw(tracked_indices=[0, 1, 2]), [f"tracked_indices.{segment}=5"])
+    assert str(info.value) == (
+        f"override 'tracked_indices.{segment}': bad array index '{segment}'"
+    )
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.cfg"))
