@@ -41,6 +41,7 @@ for file-backed domains)::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -79,49 +80,6 @@ def _type_name(types) -> str:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-class _Node:
-    """A dict with a key path, for error messages that name their key."""
-
-    def __init__(self, data: dict, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        self.data = data
-        self.path = path
-
-    def _full(self, key: str) -> str:
-        return _join(self.path, key)
-
-    def get(self, key: str, types, default=_REQUIRED):
-        """The typed value of ``key``; a ``float`` key also refuses NaN and +-inf."""
-        if key not in self.data or self.data[key] is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self._full(key)}: required key is missing")
-            return default
-        value = self.data[key]
-        if types is float and isinstance(value, int) and not isinstance(value, bool):
-            try:
-                value = float(value)
-            except OverflowError:
-                value = math.inf
-        if types is int and isinstance(value, bool):
-            raise ConfigError(f"{self._full(key)}: expected int, got bool")
-        if not isinstance(value, types):
-            raise ConfigError(
-                f"{self._full(key)}: expected {_type_name(types)}, got {type(value).__name__}"
-            )
-        if types is float and not math.isfinite(value):
-            raise ConfigError(f"{self._full(key)}: must be finite")
-        return value
-
-    def child(self, key: str, default=_REQUIRED) -> "_Node":
-        return _Node(self.get(key, dict, default), self._full(key))
-
-    def reject_unknown(self, allowed: set[str]) -> None:
-        unknown = set(self.data) - allowed
-        if unknown:
-            raise ConfigError(f"{self._full(sorted(unknown)[0])}: unknown key")
 
 
 @dataclass(frozen=True)
@@ -262,19 +220,45 @@ _PRIVACY = _BUDGET + (_Field("client_overrides", dict, {}),)
 _TRANSPORT = _fields(TransportConfig)
 
 
-def _read(node: _Node, fields: tuple[_Field, ...], defaults: dict | None = None) -> dict:
-    """A section's values: known keys only, typed and defaulted."""
-    node.reject_unknown({f.name for f in fields})
+def _value(data: dict, key: str, path: str, types, default=_REQUIRED):
+    """The typed value of ``data[key]``; a ``float`` key also refuses NaN and +-inf."""
+    where = _join(path, key)
+    if key not in data or data[key] is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: required key is missing")
+        return default
+    value = data[key]
+    if types is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if types is int and isinstance(value, bool):
+        raise ConfigError(f"{where}: expected int, got bool")
+    if not isinstance(value, types):
+        raise ConfigError(f"{where}: expected {_type_name(types)}, got {type(value).__name__}")
+    if types is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite")
+    return value
+
+
+def _read(data, path: str, fields: tuple[_Field, ...], defaults: dict | None = None) -> dict:
+    """A section's values: an object of known keys only, typed and defaulted."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"{_join(path, sorted(unknown)[0])}: unknown key")
     values = {}
     for f in fields:
         default = f.default if defaults is None else defaults.get(f.name, f.default)
-        values[f.name] = node.get(f.name, f.types, default)
+        values[f.name] = _value(data, f.name, path, f.types, default)
     return values
 
 
 def _section(top: dict, name: str, fields: tuple[_Field, ...]) -> dict:
     """Replace the raw top-level section ``name`` by its read values."""
-    top[name] = _read(_Node(top[name], name), fields)
+    top[name] = _read(top[name], name, fields)
     return top[name]
 
 
@@ -328,51 +312,49 @@ def _check_recipe_shape(recipe: DomainRecipe, model: ModelSpec, path: str) -> No
         )
 
 
-def _parse_domain(node: _Node, model: ModelSpec) -> tuple[DomainConfig, dict]:
+def _parse_domain(raw, path: str, model: ModelSpec) -> tuple[DomainConfig, dict]:
     """One domain and its canonical entry."""
-    values = _read(node, _DOMAIN)
+    values = _read(raw, path, _DOMAIN)
     recipe_raw, csv_raw = values.pop("recipe"), values.pop("csv")
     if (recipe_raw is None) == (csv_raw is None):
-        raise ConfigError(f"{node.path}: exactly one of 'recipe' or 'csv' is required")
+        raise ConfigError(f"{path}: exactly one of 'recipe' or 'csv' is required")
     if isinstance(recipe_raw, str) and values["tag"] is None:
         values["tag"] = recipe_raw  # a built-in recipe names its domain
     # A file-backed domain takes its sizes from its file; DomainConfig refuses them there.
     for key in ("tag",) if csv_raw is not None else ("tag", "train_samples", "eval_samples"):
         if values[key] is None:
-            raise ConfigError(f"{node._full(key)}: required key is missing")
+            raise ConfigError(f"{path}.{key}: required key is missing")
 
     recipe = csv = None
     if csv_raw is not None:
-        csv_node = node.child("csv")
-        values["csv"] = _read(csv_node, _CSV)
-        csv = _build(CsvSource, values["csv"], csv_node.path, _CSV)
+        values["csv"] = _read(csv_raw, f"{path}.csv", _CSV)
+        csv = _build(CsvSource, values["csv"], f"{path}.csv", _CSV)
         if len(csv.feature_columns) != model.feature_dim:
             raise ConfigError(
-                f"{csv_node._full('feature_columns')}: {len(csv.feature_columns)} columns "
+                f"{path}.csv.feature_columns: {len(csv.feature_columns)} columns "
                 f"!= model.feature_dim {model.feature_dim}"
             )
     elif isinstance(recipe_raw, str):
         try:
             recipe = builtin_recipe(recipe_raw)
         except ValueError as exc:
-            raise ConfigError(f"{node._full('recipe')}: {exc}") from None
+            raise ConfigError(f"{path}.recipe: {exc}") from None
         values["recipe"] = recipe_raw
     else:
-        recipe_node = node.child("recipe")
-        recipe_values = _read(recipe_node, _RECIPE)
-        recipe = _build(DomainRecipe, recipe_values, recipe_node.path, _RECIPE)
+        recipe_values = _read(recipe_raw, f"{path}.recipe", _RECIPE)
+        recipe = _build(DomainRecipe, recipe_values, f"{path}.recipe", _RECIPE)
         # The recipe holds float arrays; emitting those canonicalizes integer literals.
         values["recipe"] = {f.name: getattr(recipe, f.name) for f in _RECIPE}
     if recipe is not None:
-        _check_recipe_shape(recipe, model, node._full("recipe"))
+        _check_recipe_shape(recipe, model, f"{path}.recipe")
 
-    domain = _build(DomainConfig, {**values, "recipe": recipe, "csv": csv}, node.path, _DOMAIN)
+    domain = _build(DomainConfig, {**values, "recipe": recipe, "csv": csv}, path, _DOMAIN)
     return domain, {key: value for key, value in values.items() if value is not None}
 
 
 def _parse_weights(raw: dict, client_count: int) -> dict[int, float]:
-    node = _Node(raw, "policy.weights")
-    return {_client_id(node._full(key), key, client_count): node.get(key, float) for key in raw}
+    path = "policy.weights"
+    return {_client_id(f"{path}.{key}", key, client_count): _value(raw, key, path, float) for key in raw}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -381,13 +363,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     Each section's read values replace its raw dict in ``top``; a JSON-ready
     copy of ``top`` is the canonical form.
     """
-    top = _read(_Node(raw, ""), _ROOT)
+    top = _read(raw, "", _ROOT)
     model = _build(ModelSpec, _section(top, "model", _MODEL), "model", _MODEL)
 
     if not top["domains"]:
         raise ConfigError("domains: at least one domain is required")
     parsed = [
-        _parse_domain(_Node(entry, f"domains[{i}]"), model)
+        _parse_domain(entry, f"domains[{i}]", model)
         for i, entry in enumerate(top["domains"])
     ]
     domains = [domain for domain, _ in parsed]
@@ -405,8 +387,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         policy_values["weights"] = _parse_weights(policy_values["weights"], client_count)
     policy = _build(AggregationPolicy, policy_values, "policy", _POLICY)
     if policy.kind == POLICY_CUSTOM and not policy.privacy_derived:
+        # Weights hold distinct ids below client_count, so the first id without one is <= len(weights).
+        first_ids = range(min(client_count, len(policy.weights or {}) + 1))
         try:
-            policy_coefficients(policy, {cid: 1 for cid in range(client_count)})
+            policy_coefficients(policy, dict.fromkeys(first_ids, 1))
         except ValueError as exc:
             raise ConfigError(f"policy.weights: {exc}") from None
 
@@ -417,7 +401,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         path = f"privacy.client_overrides.{key}"
         cid = _client_id(path, key, client_count)
-        budget = _read(_Node(value, path), _BUDGET, defaults=vars(default_budget))
+        budget = _read(value, path, _BUDGET, defaults=vars(default_budget))
         budget_overrides[cid] = _build(PrivacyBudget, budget, path, _BUDGET)
         privacy["client_overrides"][cid] = budget
 
@@ -480,36 +464,27 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     what they look like), else kept as strings.  Integer path segments
     index into arrays.
     """
-    import copy
-
     result = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected KEY=VALUE")
         key, _, text = item.partition("=")
         segments = key.split(".")
-        target = result
-        for pos, segment in enumerate(segments[:-1]):
+        parent, index = [result], 0  # parent[index] is the value the next segment indexes
+        for pos, segment in enumerate(segments):
+            target = parent.setdefault(index, {}) if isinstance(parent, dict) else parent[index]
             if isinstance(target, list):
                 try:
-                    target = target[int(segment)]
+                    index = range(len(target))[int(segment)]  # refuses an index past either end
                 except (ValueError, IndexError):
                     raise ConfigError(f"override {key!r}: bad array index {segment!r}") from None
             elif isinstance(target, dict):
-                target = target.setdefault(segment, {})
+                index = segment
             else:
-                raise ConfigError(f"override {key!r}: {'.'.join(segments[:pos + 1])} is a scalar")
-        last = segments[-1]
-        value = _parse_override_value(text)
-        if isinstance(target, list):
-            try:
-                target[int(last)] = value
-            except (ValueError, IndexError):
-                raise ConfigError(f"override {key!r}: bad array index {last!r}") from None
-        elif isinstance(target, dict):
-            target[last] = value
-        else:
-            raise ConfigError(f"override {key!r}: path ends inside a scalar")
+                where = ".".join(segments[:pos]) or "config"
+                raise ConfigError(f"override {key!r}: {where} is a scalar")
+            parent = target
+        parent[index] = _parse_override_value(text)
     return result
 
 

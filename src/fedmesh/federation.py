@@ -471,7 +471,10 @@ class FederationEngine:
         Under secure aggregation the release masks ``coefficient * delta``
         (zeros for a flagged update, whose delta is zeros) against the
         round's participants, stores the share in the update and zeroes
-        its delta.
+        its delta.  It refuses a delta that reaches half the codec's range:
+        coefficients are >= 0 and sum to at most 1, so the masked sum then
+        stays below 2^62 units, plus one rounding unit per client, and
+        cannot wrap.
         """
         t = inputs.round_index
         update = local_train(
@@ -485,12 +488,13 @@ class FederationEngine:
         )
         if not self.secure_aggregation:
             return update
-        try:
-            encoded = self.codec.encode(inputs.coefficients[client_id] * update.delta)
-        except OverflowError as exc:
+        limit = self.codec.max_magnitude / 2
+        if (np.abs(update.delta) >= limit).any():
             raise FederationAbort(
-                f"client {client_id}, round {t}: update does not fit the fixed-point codec ({exc})"
-            ) from None
+                f"client {client_id}, round {t}: update does not fit the fixed-point codec "
+                f"(|delta| must be < {limit:g})"
+            )
+        encoded = self.codec.encode(inputs.coefficients[client_id] * update.delta)
         update.share = mask(encoded, client_id, self.seed_matrix, inputs.participant_ids, t)
         update.delta = np.zeros_like(update.delta)
         return update

@@ -11,10 +11,19 @@ import pytest
 
 from conftest import ROOT, run_python, write_dataset_csv
 from fedmesh.cli import main
-from fedmesh.config import load_config
+from fedmesh.config import config_hash, load_config
 from fedmesh.experiment import build_engine
 from fedmesh.model import Dataset
-from fedmesh.transport import FLAG_SECURE, FLAG_SELECTED
+from fedmesh.transport import (
+    FLAG_SECURE,
+    FLAG_SELECTED,
+    Frame,
+    FrameConnection,
+    MessageType,
+    encode_global_model,
+    encode_hello,
+    encode_notice,
+)
 
 CONFIG = "configs/three_domains.cfg"
 FAST = ["--override", "schedule.rounds=4"]
@@ -251,6 +260,19 @@ def test_fixed_point_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("run aborted: client 0, round 0:")
+
+
+def test_a_secure_sum_that_could_wrap_exits_2_in_one_line(tmp_path, capsys):
+    # Each client's 0.25 x delta fits the codec, but the four of them summed
+    # would pass 2^63 units and wrap mod 2^64 into a wrong model.
+    overrides = ["secure_aggregation=true", "schedule.learning_rate=1e12", "schedule.rounds=1"]
+    args = ["simulate", "--config", "configs/iid_baseline.cfg", "--out", str(tmp_path / "o")]
+    assert main([*args, *_override_flags(overrides)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "run aborted: client 0, round 0: update does not fit the fixed-point codec"
+    )
 
 
 def test_server_aborts_at_once_when_a_participant_is_gone():
@@ -580,25 +602,28 @@ SECURE_BASELINE = ["secure_aggregation=true", "transport.timeout_seconds=5"]
 SECURE_SELECTED = FLAG_SECURE | FLAG_SELECTED
 
 
-def _join_against_fake_server(params, participant_ids, coefficient=0.25, flags=SECURE_SELECTED):
-    """Run ``join`` as client 0 against a server that acks HELLO, then sends
-    one GLOBAL_MODEL frame with ``params`` and the given header."""
-    from fedmesh.config import config_hash, load_config
-    from fedmesh.transport import Frame, FrameConnection, MessageType, encode_global_model, encode_hello
+def _ack(hash_bytes):
+    return Frame(MessageType.HELLO, 0, 0, encode_hello(hash_bytes, 4))
 
+
+def _join_against(replies):
+    """Run ``join`` as client 0 against a server that answers its HELLO with
+    the frames ``replies(config hash)``, then ends its side of the stream."""
     config = load_config("configs/iid_baseline.cfg", overrides=SECURE_BASELINE)
     listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30)
     host, port = listener.getsockname()[:2]
     outcome = {}
 
     def fake_server():
         sock, _ = listener.accept()
+        sock.settimeout(30)
         conn = FrameConnection(sock)
         try:
-            hello = conn.recv()
-            conn.send(Frame(MessageType.HELLO, 0, hello.client_id, encode_hello(config_hash(config), 4)))
-            payload = encode_global_model(params, coefficient, flags, participant_ids)
-            conn.send(Frame(MessageType.GLOBAL_MODEL, 0, hello.client_id, payload))
+            conn.recv()  # the client's HELLO
+            for frame in replies(config_hash(config)):
+                conn.send(frame)
+            sock.shutdown(socket.SHUT_WR)
             outcome["reply"] = conn.recv()
         finally:
             conn.close()
@@ -618,6 +643,33 @@ def _join_against_fake_server(params, participant_ids, coefficient=0.25, flags=S
     assert not thread.is_alive()
     assert outcome["reply"] is None  # the client hung up without answering
     return code
+
+
+def _join_against_fake_server(params, participant_ids, coefficient=0.25, flags=SECURE_SELECTED):
+    """``join`` against a server that acks HELLO, then sends one GLOBAL_MODEL
+    frame with ``params`` and the given header."""
+    payload = encode_global_model(params, coefficient, flags, participant_ids)
+    return _join_against(lambda h: [_ack(h), Frame(MessageType.GLOBAL_MODEL, 0, 0, payload)])
+
+
+MODEL = Frame(MessageType.GLOBAL_MODEL, 0, 0, encode_global_model(np.zeros(9), 0.25, 3, [0, 1, 2, 3]))
+BYE_3 = Frame(MessageType.BYE, 0, 0, encode_notice(3, "sample count mismatch"))
+
+
+@pytest.mark.parametrize(
+    "replies, code, message",
+    [
+        (lambda h: [], 2, "server closed the connection during handshake"),
+        (lambda h: [MODEL], 2, "expected HELLO ack"),
+        (lambda h: [_ack(bytes(32))], 3, "config hash mismatch"),
+        (lambda h: [_ack(h), BYE_3], 3, "server terminated: sample count mismatch"),
+        (lambda h: [_ack(h)], 2, "server connection lost"),
+    ],
+    ids=["eof_before_ack", "model_before_ack", "other_hash", "bye_3_after_ack", "eof_after_ack"],
+)
+def test_join_exits_with_the_code_of_what_the_server_does(capsys, replies, code, message):
+    assert _join_against(replies) == code
+    assert capsys.readouterr().err.strip().splitlines() == [f"transport error: {message}"]
 
 
 def test_join_exits_2_on_a_wrong_dimension_model(capsys):

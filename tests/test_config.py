@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -155,6 +156,22 @@ def test_custom_weighted_requires_full_weights():
     assert ok.policy.weights == {0: 2.0}
 
 
+def test_a_missing_custom_weight_is_found_without_an_entry_per_client():
+    raw = _raw(policy={"kind": "custom_weighted", "weights": {"0": 2.0}})
+    raw["domains"][0]["clients"] = 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "policy.weights: custom_weighted policy is missing a weight for client 1"
+    )
+    assert peak < 1 << 20
+
+
 def test_csv_domain_sizes_are_checked_though_unused():
     # A csv domain's file sets its sizes, so it refuses any size it is given.
     for key, value in itertools.product(("train_samples", "eval_samples"), (0, 5)):
@@ -227,6 +244,22 @@ def test_apply_overrides_refuse_a_bad_last_index(segment):
     assert str(info.value) == (
         f"override 'tracked_indices.{segment}': bad array index '{segment}'"
     )
+
+
+@pytest.mark.parametrize(
+    "raw, item, scalar",
+    [
+        (MINIMAL, "seed.x=1", "seed"),
+        (MINIMAL, "seed.x.y=1", "seed"),
+        (MINIMAL, "model.feature_dim.z=3", "model.feature_dim"),
+        (5, "seed=1", "config"),
+    ],
+)
+def test_apply_overrides_name_the_scalar_a_path_runs_through(raw, item, scalar):
+    key = item.partition("=")[0]
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(raw, [item])
+    assert str(info.value) == f"override {key!r}: {scalar} is a scalar"
 
 
 def test_load_config_missing_file(tmp_path):

@@ -17,6 +17,7 @@ from fedmesh.privacy import NoiseReceipt
 from fedmesh.secure_sum import MaskedShare
 from fedmesh.transport import (
     BYE_CONFIG_MISMATCH,
+    BYE_NORMAL,
     HEADER,
     LAYOUTS,
     MAX_PAYLOAD,
@@ -620,6 +621,50 @@ def test_protocol_version_mismatch_gets_bye():
     conn.close()
     thread.join(30)
     server.close()
+
+
+@pytest.mark.parametrize(
+    "first_frame, reply",
+    [
+        (
+            lambda h, n: Frame(MessageType.HELLO, 0, 7, encode_hello(h, n)),
+            (BYE_NORMAL, "unknown client id"),
+        ),
+        (
+            lambda h, n: Frame(MessageType.HELLO, 0, 0, encode_hello(h, n + 1)),
+            (BYE_CONFIG_MISMATCH, "sample count mismatch"),
+        ),
+        (lambda h, n: Frame(MessageType.ROUND_REPORT, 0, 0, encode_round_summary(0.0, 0.0)), None),
+    ],
+    ids=["unknown_client_id", "wrong_sample_count", "not_hello"],
+)
+def test_server_refuses_a_bad_first_frame_and_keeps_waiting(first_frame, reply):
+    config = load_config(
+        "configs/iid_baseline.cfg", overrides=["domains.0.clients=1", "transport.timeout_seconds=10"]
+    )
+    engine = build_engine(config)
+    digest, samples = config_hash(config), len(engine.clients[0].data)
+    server = FederationServer(engine, digest, port=0, timeout=10)
+    thread = threading.Thread(target=server.wait_for_clients)
+    thread.start()
+    conns = []
+    try:
+        conns.append(FrameConnection(socket.create_connection(server.address, timeout=10)))
+        conns[0].send(first_frame(digest, samples))
+        if reply is not None:
+            bye = conns[0].recv()
+            assert bye.msg_type == MessageType.BYE and decode_notice(bye.payload) == reply
+        assert conns[0].recv() is None  # then the server closes the connection
+        # The refusal does not stop registration: the real client still gets in.
+        conns.append(FrameConnection(socket.create_connection(server.address, timeout=10)))
+        conns[1].send(Frame(MessageType.HELLO, 0, 0, encode_hello(digest, samples)))
+        assert conns[1].recv().msg_type == MessageType.HELLO
+        thread.join(30)
+        assert not thread.is_alive()
+    finally:
+        for conn in conns:
+            conn.close()
+        server.close()
 
 
 def test_both_ends_of_every_connection_set_tcp_nodelay():
